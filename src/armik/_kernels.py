@@ -14,14 +14,9 @@ from . import _kernels_impl as _impl
 # rebinding order: callees first so dispatcher globals resolve when compiling
 KERNEL_NAMES = (
     "wrap_angle",
-    "mat33_mul",
-    "mat33_mul_nt",
-    "mat44_mul",
-    "cross3",
-    "dot3",
-    "norm3",
-    "mdh_matrix",
-    "mdh_rot",
+    "mdh_link",
+    "affine_mul",
+    "rot_mul_nt",
     "fk_chain",
     "rot_geodesic",
     "_cbrt",

@@ -1,10 +1,12 @@
 """Hot-path kernels: forward kinematics, quartic roots, branch enumeration.
 
 Plain-Python bodies kept inside the numba-supported subset (float scalars,
-fixed-size float64 arrays, math.*). ``armik._kernels`` imports this module
-twice: one copy stays pure Python, the other is rebound through numba.njit
-when available. Do not add Python objects, strings, or exceptions here;
-failures are reported through integer status codes.
+homogeneous float tuples, fixed-size float64 arrays, math.*). The per-leaf
+work of ik_solve_core runs on floats and tuples only, which the pure backend
+executes far faster than numpy scalar indexing. ``armik._kernels`` imports
+this module twice: one copy stays pure Python, the other is rebound through
+numba.njit when available. Do not add Python objects, strings, or exceptions
+here; failures are reported through integer status codes.
 """
 
 import math
@@ -15,7 +17,7 @@ TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
 
 # zero offsets of the solver's internal joint coordinates
-BASE_OFFSETS = np.array([0.0, -HALF_PI, HALF_PI, 0.0, HALF_PI, HALF_PI, 0.0])
+BASE_OFFSETS = (0.0, -HALF_PI, HALF_PI, 0.0, HALF_PI, HALF_PI, 0.0)
 
 # status codes
 OK = 0
@@ -49,127 +51,91 @@ def wrap_angle(a):
     return w
 
 
-def mat33_mul(A, B, out):
-    for i in range(3):
-        for j in range(3):
-            s = 0.0
-            for t in range(3):
-                s += A[i, t] * B[t, j]
-            out[i, j] = s
+def mdh_link(alpha, a, d, theta):
+    """Link transform RotX(alpha) TransX(a) RotZ(theta) TransZ(d) as an affine.
 
-
-def mat33_mul_nt(A, B, out):
-    """out = A @ B.T"""
-    for i in range(3):
-        for j in range(3):
-            s = 0.0
-            for t in range(3):
-                s += A[i, t] * B[j, t]
-            out[i, j] = s
-
-
-def mat44_mul(A, B, out):
-    for i in range(4):
-        for j in range(4):
-            s = 0.0
-            for t in range(4):
-                s += A[i, t] * B[t, j]
-            out[i, j] = s
-
-
-def cross3(a, b, out):
-    out[0] = a[1] * b[2] - a[2] * b[1]
-    out[1] = a[2] * b[0] - a[0] * b[2]
-    out[2] = a[0] * b[1] - a[1] * b[0]
-
-
-def dot3(a, b):
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def norm3(a):
-    return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
-
-
-def mdh_matrix(alpha, a, d, theta, out):
-    """Single-link transform RotX(alpha) TransX(a) RotZ(theta) TransZ(d)."""
+    Affines are 12-tuples: the rotation row-major, then the translation, so
+    the first nine entries of any affine are its rotation.
+    """
     ca = math.cos(alpha)
     sa = math.sin(alpha)
     ct = math.cos(theta)
     st = math.sin(theta)
-    out[0, 0] = ct
-    out[0, 1] = -st
-    out[0, 2] = 0.0
-    out[0, 3] = a
-    out[1, 0] = ca * st
-    out[1, 1] = ca * ct
-    out[1, 2] = -sa
-    out[1, 3] = -sa * d
-    out[2, 0] = sa * st
-    out[2, 1] = sa * ct
-    out[2, 2] = ca
-    out[2, 3] = ca * d
-    out[3, 0] = 0.0
-    out[3, 1] = 0.0
-    out[3, 2] = 0.0
-    out[3, 3] = 1.0
+    return (ct, -st, 0.0,
+            ca * st, ca * ct, -sa,
+            sa * st, sa * ct, ca,
+            a, -sa * d, ca * d)
 
 
-def mdh_rot(alpha, theta, out):
-    """Rotation block of mdh_matrix."""
-    ca = math.cos(alpha)
-    sa = math.sin(alpha)
-    ct = math.cos(theta)
-    st = math.sin(theta)
-    out[0, 0] = ct
-    out[0, 1] = -st
-    out[0, 2] = 0.0
-    out[1, 0] = ca * st
-    out[1, 1] = ca * ct
-    out[1, 2] = -sa
-    out[2, 0] = sa * st
-    out[2, 1] = sa * ct
-    out[2, 2] = ca
+def affine_mul(A, B):
+    """Product of two affines."""
+    a00, a01, a02, a10, a11, a12, a20, a21, a22, ax, ay, az = A
+    b00, b01, b02, b10, b11, b12, b20, b21, b22, bx, by, bz = B
+    return (a00 * b00 + a01 * b10 + a02 * b20,
+            a00 * b01 + a01 * b11 + a02 * b21,
+            a00 * b02 + a01 * b12 + a02 * b22,
+            a10 * b00 + a11 * b10 + a12 * b20,
+            a10 * b01 + a11 * b11 + a12 * b21,
+            a10 * b02 + a11 * b12 + a12 * b22,
+            a20 * b00 + a21 * b10 + a22 * b20,
+            a20 * b01 + a21 * b11 + a22 * b21,
+            a20 * b02 + a21 * b12 + a22 * b22,
+            a00 * bx + a01 * by + a02 * bz + ax,
+            a10 * bx + a11 * by + a12 * bz + ay,
+            a20 * bx + a21 * by + a22 * bz + az)
 
 
-def fk_chain(mdh, q, T, S, E, W):
-    """Full chain product; T = base-to-end, S/E/W = origins of frames 2/4/6."""
-    M = np.empty((4, 4))
-    acc = np.empty((4, 4))
-    for i in range(4):
-        for j in range(4):
-            T[i, j] = 1.0 if i == j else 0.0
-    for i in range(7):
-        mdh_matrix(mdh[i, 0], mdh[i, 1], mdh[i, 2], mdh[i, 3] + q[i], M)
-        mat44_mul(T, M, acc)
-        for r in range(4):
-            for c in range(4):
-                T[r, c] = acc[r, c]
+def rot_mul_nt(A, B):
+    """Rotation of A times the transpose of the rotation of B (A, B rotations
+    or affines)."""
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = A[:9]
+    b00, b01, b02, b10, b11, b12, b20, b21, b22 = B[:9]
+    return (a00 * b00 + a01 * b01 + a02 * b02,
+            a00 * b10 + a01 * b11 + a02 * b12,
+            a00 * b20 + a01 * b21 + a02 * b22,
+            a10 * b00 + a11 * b01 + a12 * b02,
+            a10 * b10 + a11 * b11 + a12 * b12,
+            a10 * b20 + a11 * b21 + a12 * b22,
+            a20 * b00 + a21 * b01 + a22 * b02,
+            a20 * b10 + a21 * b11 + a22 * b12,
+            a20 * b20 + a21 * b21 + a22 * b22)
+
+
+def fk_chain(mdh, q):
+    """Full chain product of the 7 rows (alpha, a, d, theta_offset) of mdh.
+
+    Returns (R, p, S, E, W): the base-to-end rotation as a row-major 9-tuple,
+    its translation, and the origins of frames 2/4/6.
+    """
+    row = mdh[0]
+    T = mdh_link(row[0], row[1], row[2], row[3] + q[0])
+    S = E = W = (0.0, 0.0, 0.0)
+    for i in range(1, 7):
+        row = mdh[i]
+        T = affine_mul(T, mdh_link(row[0], row[1], row[2], row[3] + q[i]))
         if i == 1:
-            S[0] = T[0, 3]
-            S[1] = T[1, 3]
-            S[2] = T[2, 3]
+            S = (T[9], T[10], T[11])
         elif i == 3:
-            E[0] = T[0, 3]
-            E[1] = T[1, 3]
-            E[2] = T[2, 3]
+            E = (T[9], T[10], T[11])
         elif i == 5:
-            W[0] = T[0, 3]
-            W[1] = T[1, 3]
-            W[2] = T[2, 3]
+            W = (T[9], T[10], T[11])
+    return T[:9], T[9:], S, E, W
 
 
 def rot_geodesic(Ra, Rb):
-    """Geodesic angle between two rotations, atan2 form (stable near 0 and pi)."""
-    t00 = Ra[0, 0] * Rb[0, 0] + Ra[0, 1] * Rb[0, 1] + Ra[0, 2] * Rb[0, 2]
-    t11 = Ra[1, 0] * Rb[1, 0] + Ra[1, 1] * Rb[1, 1] + Ra[1, 2] * Rb[1, 2]
-    t22 = Ra[2, 0] * Rb[2, 0] + Ra[2, 1] * Rb[2, 1] + Ra[2, 2] * Rb[2, 2]
-    m21 = Ra[2, 0] * Rb[1, 0] + Ra[2, 1] * Rb[1, 1] + Ra[2, 2] * Rb[1, 2]
-    m12 = Ra[1, 0] * Rb[2, 0] + Ra[1, 1] * Rb[2, 1] + Ra[1, 2] * Rb[2, 2]
-    m02 = Ra[0, 0] * Rb[2, 0] + Ra[0, 1] * Rb[2, 1] + Ra[0, 2] * Rb[2, 2]
-    m20 = Ra[2, 0] * Rb[0, 0] + Ra[2, 1] * Rb[0, 1] + Ra[2, 2] * Rb[0, 2]
-    m10 = Ra[1, 0] * Rb[0, 0] + Ra[1, 1] * Rb[0, 1] + Ra[1, 2] * Rb[0, 2]
-    m01 = Ra[0, 0] * Rb[1, 0] + Ra[0, 1] * Rb[1, 1] + Ra[0, 2] * Rb[1, 2]
+    """Geodesic angle between two rotations (row-major 9-tuples), atan2 form
+    (stable near 0 and pi)."""
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = Ra
+    b00, b01, b02, b10, b11, b12, b20, b21, b22 = Rb
+    t00 = a00 * b00 + a01 * b01 + a02 * b02
+    t11 = a10 * b10 + a11 * b11 + a12 * b12
+    t22 = a20 * b20 + a21 * b21 + a22 * b22
+    m21 = a20 * b10 + a21 * b11 + a22 * b12
+    m12 = a10 * b20 + a11 * b21 + a12 * b22
+    m02 = a00 * b20 + a01 * b21 + a02 * b22
+    m20 = a20 * b00 + a21 * b01 + a22 * b02
+    m10 = a10 * b00 + a11 * b01 + a12 * b02
+    m01 = a00 * b10 + a01 * b11 + a02 * b12
     sx = m21 - m12
     sy = m02 - m20
     sz = m10 - m01
@@ -548,20 +514,8 @@ def arm_dihedral(S, E, C, z7, tol_len, tol_parallel):
 
 def arm_angle_core(mdh, q, tol_len, tol_parallel):
     """Arm angle of a joint configuration via the FK frame points."""
-    T = np.empty((4, 4))
-    S = np.empty(3)
-    E = np.empty(3)
-    W = np.empty(3)
-    fk_chain(mdh, q, T, S, E, W)
-    C = np.empty(3)
-    C[0] = T[0, 3]
-    C[1] = T[1, 3]
-    C[2] = T[2, 3]
-    z7 = np.empty(3)
-    z7[0] = T[0, 2]
-    z7[1] = T[1, 2]
-    z7[2] = T[2, 2]
-    return arm_dihedral(S, E, C, z7, tol_len, tol_parallel)
+    R, C, S, E, W = fk_chain(mdh, q)
+    return arm_dihedral(S, E, C, (R[2], R[5], R[8]), tol_len, tol_parallel)
 
 
 def quartic_setup_core(d_sc, q, psi, d_se, d_ew, a_wr):
@@ -620,6 +574,8 @@ def ik_solve_core(mdh, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
     R07/p07 is the pose every branch is verified against (and the rotation fed
     to the q1..q3 decomposition); the caller passes the original pose for the
     general solve and the synthesized canonical pose for the special solve.
+    mdh is the parameter table as 7 rows of floats, delta the 7 joint
+    offsets, R07 a row-major 9-tuple and p07 a 3-tuple.
     Every one of the 16 leaves is either accepted or lands in the rejection
     table with a reason code; nothing is silently dropped.
     """
@@ -666,16 +622,11 @@ def ik_solve_core(mdh, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
     cp = math.cos(psi)
     sp = math.sin(psi)
 
-    Rtmp = np.empty((3, 3))
-    Racc = np.empty((3, 3))
-    Racc2 = np.empty((3, 3))
-    qu = np.empty(7)
-    Tb = np.empty((4, 4))
-    Sb = np.empty(3)
-    Eb = np.empty(3)
-    Wb = np.empty(3)
-    Cb = np.empty(3)
-    z7b = np.empty(3)
+    px, py, pz = p07
+    m3 = mdh[3]
+    m4 = mdh[4]
+    m5 = mdh[5]
+    m6 = mdh[6]
     prev_sign = 1.0
 
     for slot in range(n_slot):
@@ -820,6 +771,11 @@ def ik_solve_core(mdh, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
         a1 = -s6x * s6 - s6y * c6
         a2 = s6z
         cons = s6y * s6 - s6x * c6 - (d_ew + d_se * carg)
+        # R03 = R07 R67' R56' R45' R34' (primes are transposes); the first
+        # two factors do not depend on the elbow sign
+        R05 = rot_mul_nt(
+            rot_mul_nt(R07, mdh_link(m6[0], m6[1], m6[2], BASE_OFFSETS[6] + q7)),
+            mdh_link(m5[0], m5[1], m5[2], BASE_OFFSETS[5] + q6))
         for s4i in (1.0, -1.0):
             base = slot * 4 + (0 if s4i > 0.0 else 2)
             q4 = s4i * q4a
@@ -837,26 +793,20 @@ def ik_solve_core(mdh, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
                 continue
             q5 = math.atan2(s4i * a1, s4i * a2)
 
-            # R03 = R07 R67' R56' R45' R34' (primes are transposes)
-            mdh_rot(mdh[6, 0], BASE_OFFSETS[6] + q7, Rtmp)
-            mat33_mul_nt(R07, Rtmp, Racc)
-            mdh_rot(mdh[5, 0], BASE_OFFSETS[5] + q6, Rtmp)
-            mat33_mul_nt(Racc, Rtmp, Racc2)
-            mdh_rot(mdh[4, 0], BASE_OFFSETS[4] + q5, Rtmp)
-            mat33_mul_nt(Racc2, Rtmp, Racc)
-            mdh_rot(mdh[3, 0], BASE_OFFSETS[3] + q4, Rtmp)
-            mat33_mul_nt(Racc, Rtmp, Racc2)
-            r33 = Racc2[2, 2]
+            R03 = rot_mul_nt(
+                rot_mul_nt(R05, mdh_link(m4[0], m4[1], m4[2], BASE_OFFSETS[4] + q5)),
+                mdh_link(m3[0], m3[1], m3[2], BASE_OFFSETS[3] + q4))
+            r13 = R03[2]
+            r23 = R03[5]
+            r31 = R03[6]
+            r32 = R03[7]
+            r33 = R03[8]
             if abs(r33) >= 1.0 - 1e-10:
                 for leaf2 in range(2):
                     rej_out[n_rej, 0] = base + leaf2
                     rej_out[n_rej, 1] = REJ_WRIST_DEGENERATE
                     n_rej += 1
                 continue
-            r13 = Racc2[0, 2]
-            r23 = Racc2[1, 2]
-            r31 = Racc2[2, 0]
-            r32 = Racc2[2, 1]
             ac2 = math.acos(max(-1.0, min(1.0, r33)))
             for s2i in (1.0, -1.0):
                 leaf = base + (0 if s2i > 0.0 else 1)
@@ -865,33 +815,24 @@ def ik_solve_core(mdh, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
                 q1 = math.atan2(-r23 * sgn2, -r13 * sgn2)
                 q3 = math.atan2(-r31 * sgn2, -r32 * sgn2)
 
-                qu[0] = wrap_angle(q1 - delta[0])
-                qu[1] = wrap_angle(q2 - delta[1])
-                qu[2] = wrap_angle(q3 - delta[2])
-                qu[3] = wrap_angle(q4 - delta[3])
-                qu[4] = wrap_angle(q5 - delta[4])
-                qu[5] = wrap_angle(q6 - delta[5])
-                qu[6] = wrap_angle(q7 - delta[6])
+                qu = (wrap_angle(q1 - delta[0]), wrap_angle(q2 - delta[1]),
+                      wrap_angle(q3 - delta[2]), wrap_angle(q4 - delta[3]),
+                      wrap_angle(q5 - delta[4]), wrap_angle(q6 - delta[5]),
+                      wrap_angle(q7 - delta[6]))
 
-                fk_chain(mdh, qu, Tb, Sb, Eb, Wb)
-                dx = Tb[0, 3] - p07[0]
-                dy = Tb[1, 3] - p07[1]
-                dz = Tb[2, 3] - p07[2]
-                perr = (rot_geodesic(Tb[:3, :3], R07)
+                Rb, Cb, Sb, Eb, _ = fk_chain(mdh, qu)
+                dx = Cb[0] - px
+                dy = Cb[1] - py
+                dz = Cb[2] - pz
+                perr = (rot_geodesic(Rb, R07)
                         + math.sqrt(dx * dx + dy * dy + dz * dz))
                 if perr > pose_tol:
                     rej_out[n_rej, 0] = leaf
                     rej_out[n_rej, 1] = REJ_POSE_MISMATCH
                     n_rej += 1
                     continue
-                Cb[0] = Tb[0, 3]
-                Cb[1] = Tb[1, 3]
-                Cb[2] = Tb[2, 3]
-                z7b[0] = Tb[0, 2]
-                z7b[1] = Tb[1, 2]
-                z7b[2] = Tb[2, 2]
-                psi_b, pst = arm_dihedral(Sb, Eb, Cb, z7b, tol_len,
-                                          tol_parallel)
+                psi_b, pst = arm_dihedral(Sb, Eb, Cb, (Rb[2], Rb[5], Rb[8]),
+                                          tol_len, tol_parallel)
                 if pst != OK or abs(wrap_angle(psi_b - psi)) > psi_tol:
                     rej_out[n_rej, 0] = leaf
                     rej_out[n_rej, 1] = REJ_PSI_MISMATCH

@@ -32,7 +32,7 @@ from .errors import (
 from .robot import JointConfig, Transform
 from .arm_angle import reduce_pose, special_pose, ReducedPose
 from .quartic import solve_quartic
-from ._kernels import active as _K, pure as _KP
+from ._kernels import active as _K
 from ._kernels_impl import BASE_OFFSETS, HALF_PI
 
 PSI_TOL = 1e-8
@@ -377,12 +377,10 @@ def solve_q123(R07, q4, q5, q6, q7):
     WristLikeDegenerate when |r33| is within 1e-10 of 1 (q2 = +-pi/2
     family: q1 and q3 are individually undefined).
     """
-    R07 = np.asarray(R07, dtype=float)
-    acc = R07.copy()
-    Rt = np.empty((3, 3))
+    acc = np.asarray(R07, dtype=float)
     for row, ang in ((6, q7), (5, q6), (4, q5), (3, q4)):
-        _K.mdh_rot(_ALPHAS[row], BASE_OFFSETS[row] + ang, Rt)
-        acc = acc @ Rt.T
+        link = _K.mdh_link(_ALPHAS[row], 0.0, 0.0, BASE_OFFSETS[row] + ang)
+        acc = acc @ np.reshape(link[:9], (3, 3)).T
     r33 = acc[2, 2]
     if abs(r33) >= 1.0 - 1e-10:
         raise WristLikeDegenerate(
@@ -402,13 +400,13 @@ def solve_q123(R07, q4, q5, q6, q7):
 
 def _run_kernel(K, params, R07, p07, d_sc, q, al, psi, tol):
     return K.ik_solve_core(
-        params.mdh,
-        params.delta,
+        tuple(map(tuple, params.mdh.tolist())),
+        tuple(params.delta.tolist()),
         params.d_se,
         params.d_ew,
         params.a_wr,
-        np.ascontiguousarray(R07, dtype=float),
-        np.ascontiguousarray(p07, dtype=float),
+        tuple(R07.ravel().tolist()),
+        tuple(p07.ravel().tolist()),
         d_sc,
         q,
         al,

@@ -263,28 +263,19 @@ def _joints_array(joints):
 
 def mdh_transform(alpha, a, d, theta):
     """Single link transform for one table row at joint angle theta."""
-    T = np.empty((4, 4))
-    _K.mdh_matrix(alpha, a, d, theta, T)
-    return Transform.from_matrix(T)
+    link = _K.mdh_link(alpha, a, d, theta)
+    return Transform(np.reshape(link[:9], (3, 3)), link[9:])
 
 
 def forward_kinematics(params, joints):
     """Pose of frame 7 in base coordinates."""
-    q = _joints_array(joints)
-    T = np.empty((4, 4))
-    S = np.empty(3)
-    E = np.empty(3)
-    W = np.empty(3)
-    _K.fk_chain(params.mdh, q, T, S, E, W)
-    return Transform.from_matrix(T)
+    R, p, _, _, _ = _K.fk_chain(params.mdh, _joints_array(joints))
+    return Transform(np.reshape(R, (3, 3)), p)
 
 
 def frame_points(params, joints):
     """Shoulder, elbow, wrist and axis-7 points in base coordinates."""
-    q = _joints_array(joints)
-    T = np.empty((4, 4))
-    S = np.empty(3)
-    E = np.empty(3)
-    W = np.empty(3)
-    _K.fk_chain(params.mdh, q, T, S, E, W)
-    return FramePoints(shoulder=S, elbow=E, wrist=W, axis7=T[:3, 3].copy())
+    _, p, S, E, W = _K.fk_chain(params.mdh, _joints_array(joints))
+    return FramePoints(
+        shoulder=np.array(S), elbow=np.array(E), wrist=np.array(W), axis7=np.array(p)
+    )
