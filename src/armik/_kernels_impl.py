@@ -1,17 +1,15 @@
 """Hot-path kernels: forward kinematics, quartic roots, branch enumeration.
 
 Plain-Python bodies kept inside the numba-supported subset (float scalars,
-homogeneous float tuples, fixed-size float64 arrays, math.*). The per-leaf
-work of ik_solve_core runs on floats and tuples only, which the pure backend
-executes far faster than numpy scalar indexing. ``armik._kernels`` imports
+homogeneous tuples, homogeneous lists, math.*). The solve path runs on
+floats, tuples and lists only, which the pure backend executes far faster
+than numpy scalar indexing. ``armik._kernels`` imports
 this module twice: one copy stays pure Python, the other is rebound through
 numba.njit when available. Do not add Python objects, strings, or exceptions
 here; failures are reported through integer status codes.
 """
 
 import math
-
-import numpy as np
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
@@ -151,7 +149,8 @@ def _cbrt(x):
 
 
 def solve_cubic_monic(a2, a1, a0, roots):
-    """Real roots of x^3 + a2 x^2 + a1 x + a0, ascending. Returns count."""
+    """Real roots of x^3 + a2 x^2 + a1 x + a0, ascending, into the list
+    roots. Returns count."""
     p = a1 - a2 * a2 / 3.0
     qq = 2.0 * a2 * a2 * a2 / 27.0 - a2 * a1 / 3.0 + a0
     shift = -a2 / 3.0
@@ -203,7 +202,8 @@ def solve_quartic_core(g4, g3, g2, g1, g0, degree_tol, root_merge_tol,
     """Real roots of g4 t^4 + ... + g0, ascending, merged with multiplicities.
 
     Ferrari resolvent-cubic closed form with degree degradation and a
-    guarded Newton polish with step backtracking. Returns (count, status).
+    guarded Newton polish with step backtracking. Writes the roots and their
+    multiplicities into the lists roots and mult; returns (count, status).
     """
     scale = abs(g4)
     if abs(g3) > scale:
@@ -222,8 +222,7 @@ def solve_quartic_core(g4, g3, g2, g1, g0, degree_tol, root_merge_tol,
     c1 = g1 / scale
     c0 = g0 / scale
 
-    raw = np.empty(8)
-    nraw = 0
+    raw = []
     cut = degree_tol
     if abs(c4) > cut:
         a = c3 / c4
@@ -242,7 +241,7 @@ def solve_quartic_core(g4, g3, g2, g1, g0, degree_tol, root_merge_tol,
             use_biquad = True
         else:
             # resolvent m^3 + p m^2 + (p^2/4 - r) m - q^2/8 = 0; largest root
-            cr = np.empty(3)
+            cr = [0.0, 0.0, 0.0]
             ncr = solve_cubic_monic(p, 0.25 * p * p - r, -q * q / 8.0, cr)
             m = cr[ncr - 1]
             s2 = 2.0 * m
@@ -258,19 +257,11 @@ def solve_quartic_core(g4, g3, g2, g1, g0, degree_tol, root_merge_tol,
                 for z in (z1, z2):
                     if z >= 0.0:
                         yv = math.sqrt(z)
-                        raw[nraw] = yv + shift
-                        nraw += 1
-                        if yv > 0.0:
-                            raw[nraw] = -yv + shift
-                            nraw += 1
-                        else:
-                            raw[nraw] = shift
-                            nraw += 1
+                        raw.append(yv + shift)
+                        raw.append(-yv + shift if yv > 0.0 else shift)
                     elif math.sqrt(-z) < complex_accept:
-                        raw[nraw] = shift
-                        nraw += 1
-                        raw[nraw] = shift
-                        nraw += 1
+                        raw.append(shift)
+                        raw.append(shift)
             else:
                 # complex z pair; real y only if imaginary parts are noise
                 zre = -0.5 * p
@@ -278,14 +269,10 @@ def solve_quartic_core(g4, g3, g2, g1, g0, degree_tol, root_merge_tol,
                     yre = math.sqrt(zre)
                     yim = 0.5 * math.sqrt(-zd) / (2.0 * yre)
                     if yim < complex_accept * max(1.0, yre):
-                        raw[nraw] = yre + shift
-                        nraw += 1
-                        raw[nraw] = yre + shift
-                        nraw += 1
-                        raw[nraw] = -yre + shift
-                        nraw += 1
-                        raw[nraw] = -yre + shift
-                        nraw += 1
+                        raw.append(yre + shift)
+                        raw.append(yre + shift)
+                        raw.append(-yre + shift)
+                        raw.append(-yre + shift)
         else:
             s = math.sqrt(s2)
             u = 0.5 * p + m
@@ -309,24 +296,19 @@ def solve_quartic_core(g4, g3, g2, g1, g0, degree_tol, root_merge_tol,
                         y2 = C / y1
                     else:
                         y2 = -0.5 * B
-                    raw[nraw] = y1 + shift
-                    nraw += 1
-                    raw[nraw] = y2 + shift
-                    nraw += 1
+                    raw.append(y1 + shift)
+                    raw.append(y2 + shift)
                 else:
                     re = -0.5 * B
                     im = 0.5 * math.sqrt(-disc)
                     if im < complex_accept * max(1.0, abs(re)):
-                        raw[nraw] = re + shift
-                        nraw += 1
-                        raw[nraw] = re + shift
-                        nraw += 1
+                        raw.append(re + shift)
+                        raw.append(re + shift)
     elif abs(c3) > cut:
-        cr = np.empty(3)
+        cr = [0.0, 0.0, 0.0]
         ncr = solve_cubic_monic(c2 / c3, c1 / c3, c0 / c3, cr)
         for i in range(ncr):
-            raw[nraw] = cr[i]
-            nraw += 1
+            raw.append(cr[i])
     elif abs(c2) > cut:
         disc = c1 * c1 - 4.0 * c2 * c0
         if disc >= 0.0:
@@ -335,24 +317,16 @@ def solve_quartic_core(g4, g3, g2, g1, g0, degree_tol, root_merge_tol,
                 y1 = 0.5 * (-c1 - sd) / c2
             else:
                 y1 = 0.5 * (-c1 + sd) / c2
-            raw[nraw] = y1
-            nraw += 1
-            if y1 != 0.0:
-                raw[nraw] = (c0 / c2) / y1
-            else:
-                raw[nraw] = -0.5 * c1 / c2
-            nraw += 1
+            raw.append(y1)
+            raw.append((c0 / c2) / y1 if y1 != 0.0 else -0.5 * c1 / c2)
         else:
             re = -0.5 * c1 / c2
             im = 0.5 * math.sqrt(-disc) / abs(c2)
             if im < complex_accept * max(1.0, abs(re)):
-                raw[nraw] = re
-                nraw += 1
-                raw[nraw] = re
-                nraw += 1
+                raw.append(re)
+                raw.append(re)
     elif abs(c1) > cut:
-        raw[nraw] = -c0 / c1
-        nraw += 1
+        raw.append(-c0 / c1)
     else:
         # nonzero constant: no roots
         return 0, OK
@@ -360,6 +334,7 @@ def solve_quartic_core(g4, g3, g2, g1, g0, degree_tol, root_merge_tol,
     # Newton polish on the scaled polynomial; a full step that increases |P|
     # is halved up to 4 times (closed form can overshoot badly when the
     # depressed-quartic shift cancels against a small root)
+    nraw = len(raw)
     for i in range(nraw):
         x = raw[i]
         fx = (((c4 * x + c3) * x + c2) * x + c1) * x + c0
@@ -425,12 +400,22 @@ def reduce_pose_core(R, p, d_bs, tol_len, tol_parallel, A):
     scx = p[0]
     scy = p[1]
     scz = p[2] - d_bs
-    d_sc = math.sqrt(scx * scx + scy * scy + scz * scz)
+    ss = scx * scx + scy * scy + scz * scz
+    m = 1.0
+    if math.isinf(ss):
+        # the squares overflow: scale by the largest component
+        m = max(abs(scx), max(abs(scy), abs(scz)))
+        scx /= m
+        scy /= m
+        scz /= m
+        ss = scx * scx + scy * scy + scz * scz
+    n = math.sqrt(ss)
+    d_sc = m * n
     if d_sc < tol_len:
         return 0.0, 0.0, 0.0, ERR_ZERO_SC
-    zvx = scx / d_sc
-    zvy = scy / d_sc
-    zvz = scz / d_sc
+    zvx = scx / n
+    zvy = scy / n
+    zvz = scz / n
     z7x = R[0, 2]
     z7y = R[1, 2]
     z7z = R[2, 2]
@@ -578,44 +563,39 @@ def ik_solve_core(mdh, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
     offsets, R07 a row-major 9-tuple and p07 a 3-tuple.
     Every one of the 16 leaves is either accepted or lands in the rejection
     table with a reason code; nothing is silently dropped.
+
+    Returns (accepted, rejected): accepted holds one tuple (joints, slot, t6,
+    r6, q8, q4 sign, q2 sign, arm_eq_res, pose_eq_res, pose error) per
+    branch, with the joints a 7-tuple and the signs +-1; rejected holds one
+    (leaf, reason code) pair per rejected leaf.
     """
-    joints_out = np.zeros((16, 7))
-    meta_out = np.zeros((16, 8))
-    perr_out = np.zeros(16)
-    rej_out = np.zeros((16, 2), dtype=np.int64)
-    n_acc = 0
-    n_rej = 0
+    acc = []
+    rej = []
 
     k, y, tm1, tm2, tm3, g4, g3, g2, g1, g0 = quartic_setup_core(
         d_sc, q, psi, d_se, d_ew, a_wr)
-    roots = np.empty(4)
-    mults = np.empty(4, dtype=np.int64)
+    roots = [0.0, 0.0, 0.0, 0.0]
+    mults = [0, 0, 0, 0]
     nroots, qstatus = solve_quartic_core(
         g4, g3, g2, g1, g0, degree_tol, root_merge_tol, complex_accept,
         roots, mults)
     if qstatus != OK:
         for leaf in range(16):
-            rej_out[n_rej, 0] = leaf
-            rej_out[n_rej, 1] = REJ_QUARTIC_ZERO
-            n_rej += 1
-        return joints_out, meta_out, perr_out, rej_out, n_acc, n_rej
+            rej.append((leaf, REJ_QUARTIC_ZERO))
+        return acc, rej
 
     # expand multiplicities into the 4 root slots; a slot born from a double
     # root is retried with the opposite elbow-plane sign (branch fold)
-    slot_t6 = np.zeros(4)
-    slot_dup = np.zeros(4, dtype=np.int64)
-    n_slot = 0
+    slot_t6 = []
+    slot_dup = []
     for i in range(nroots):
         for mcopy in range(mults[i]):
-            if n_slot < 4:
-                slot_t6[n_slot] = roots[i]
-                slot_dup[n_slot] = mcopy
-                n_slot += 1
-    for slot in range(n_slot, 4):
-        for leaf4 in range(4):
-            rej_out[n_rej, 0] = slot * 4 + leaf4
-            rej_out[n_rej, 1] = REJ_COMPLEX_ROOT
-            n_rej += 1
+            if len(slot_t6) < 4:
+                slot_t6.append(roots[i])
+                slot_dup.append(mcopy)
+    n_slot = len(slot_t6)
+    for leaf in range(n_slot * 4, 16):
+        rej.append((leaf, REJ_COMPLEX_ROOT))
 
     sq = math.sin(q)
     cq = math.cos(q)
@@ -634,9 +614,7 @@ def ik_solve_core(mdh, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
         u6 = (t6 - a_wr) / d_ew
         if abs(u6) > 1.0 + sin_domain_tol:
             for leaf4 in range(4):
-                rej_out[n_rej, 0] = slot * 4 + leaf4
-                rej_out[n_rej, 1] = REJ_COS_DOMAIN
-                n_rej += 1
+                rej.append((slot * 4 + leaf4, REJ_COS_DOMAIN))
             continue
         if u6 > 1.0:
             u6 = 1.0
@@ -667,15 +645,11 @@ def ik_solve_core(mdh, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
                 sc6 = sc_m
             if abs(res6) > branch_residual_tol * sc6 or r6_mag == 0.0:
                 for leaf4 in range(4):
-                    rej_out[n_rej, 0] = slot * 4 + leaf4
-                    rej_out[n_rej, 1] = REJ_DUPLICATE
-                    n_rej += 1
+                    rej.append((slot * 4 + leaf4, REJ_DUPLICATE))
                 continue
         if abs(res6) > branch_residual_tol * sc6:
             for leaf4 in range(4):
-                rej_out[n_rej, 0] = slot * 4 + leaf4
-                rej_out[n_rej, 1] = REJ_EQ_RESIDUAL
-                n_rej += 1
+                rej.append((slot * 4 + leaf4, REJ_EQ_RESIDUAL))
             continue
         r6 = sgn6 * r6_mag
         q6 = math.atan2(r6, t6 - a_wr)
@@ -683,17 +657,13 @@ def ik_solve_core(mdh, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
         # q8: cos from the pose equation, sign of sin from the arm equation
         if abs(t6) < tol_len:
             for leaf4 in range(4):
-                rej_out[n_rej, 0] = slot * 4 + leaf4
-                rej_out[n_rej, 1] = REJ_Q8_DEGENERATE
-                n_rej += 1
+                rej.append((slot * 4 + leaf4, REJ_Q8_DEGENERATE))
             continue
         xv = a_wr * t6 - k - d_sc * r6 * cq
         cq8 = -xv / (d_sc * sq * t6)
         if abs(cq8) > 1.0 + sin_domain_tol:
             for leaf4 in range(4):
-                rej_out[n_rej, 0] = slot * 4 + leaf4
-                rej_out[n_rej, 1] = REJ_COS_DOMAIN
-                n_rej += 1
+                rej.append((slot * 4 + leaf4, REJ_COS_DOMAIN))
             continue
         if cq8 > 1.0:
             cq8 = 1.0
@@ -711,9 +681,7 @@ def ik_solve_core(mdh, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
                 s8 = cand
         if best_res > 1.0e-2:
             for leaf4 in range(4):
-                rej_out[n_rej, 0] = slot * 4 + leaf4
-                rej_out[n_rej, 1] = REJ_ARM_EQ_MISMATCH
-                n_rej += 1
+                rej.append((slot * 4 + leaf4, REJ_ARM_EQ_MISMATCH))
             continue
         q8 = math.atan2(s8 * sq8_mag, cq8)
 
@@ -756,9 +724,7 @@ def ik_solve_core(mdh, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
         carg = (n2 - d_ew * d_ew - d_se * d_se) / (2.0 * d_se * d_ew)
         if abs(carg) > 1.0 + sin_domain_tol:
             for leaf4 in range(4):
-                rej_out[n_rej, 0] = slot * 4 + leaf4
-                rej_out[n_rej, 1] = REJ_UNREACHABLE
-                n_rej += 1
+                rej.append((slot * 4 + leaf4, REJ_UNREACHABLE))
             continue
         if carg > 1.0:
             carg = 1.0
@@ -776,20 +742,16 @@ def ik_solve_core(mdh, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
         R05 = rot_mul_nt(
             rot_mul_nt(R07, mdh_link(m6[0], m6[1], m6[2], BASE_OFFSETS[6] + q7)),
             mdh_link(m5[0], m5[1], m5[2], BASE_OFFSETS[5] + q6))
-        for s4i in (1.0, -1.0):
-            base = slot * 4 + (0 if s4i > 0.0 else 2)
+        for s4i in (1, -1):
+            base = slot * 4 + (0 if s4i > 0 else 2)
             q4 = s4i * q4a
             if abs(a1) < 1e-10 and abs(a2) < 1e-10:
                 for leaf2 in range(2):
-                    rej_out[n_rej, 0] = base + leaf2
-                    rej_out[n_rej, 1] = REJ_ELBOW_DEGENERATE
-                    n_rej += 1
+                    rej.append((base + leaf2, REJ_ELBOW_DEGENERATE))
                 continue
             if abs(cons) > 1e-6:
                 for leaf2 in range(2):
-                    rej_out[n_rej, 0] = base + leaf2
-                    rej_out[n_rej, 1] = REJ_CONSISTENCY
-                    n_rej += 1
+                    rej.append((base + leaf2, REJ_CONSISTENCY))
                 continue
             q5 = math.atan2(s4i * a1, s4i * a2)
 
@@ -803,13 +765,11 @@ def ik_solve_core(mdh, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
             r33 = R03[8]
             if abs(r33) >= 1.0 - 1e-10:
                 for leaf2 in range(2):
-                    rej_out[n_rej, 0] = base + leaf2
-                    rej_out[n_rej, 1] = REJ_WRIST_DEGENERATE
-                    n_rej += 1
+                    rej.append((base + leaf2, REJ_WRIST_DEGENERATE))
                 continue
             ac2 = math.acos(max(-1.0, min(1.0, r33)))
-            for s2i in (1.0, -1.0):
-                leaf = base + (0 if s2i > 0.0 else 1)
+            for s2i in (1, -1):
+                leaf = base + (0 if s2i > 0 else 1)
                 q2 = wrap_angle(s2i * ac2 + HALF_PI)
                 sgn2 = -s2i
                 q1 = math.atan2(-r23 * sgn2, -r13 * sgn2)
@@ -827,43 +787,28 @@ def ik_solve_core(mdh, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
                 perr = (rot_geodesic(Rb, R07)
                         + math.sqrt(dx * dx + dy * dy + dz * dz))
                 if perr > pose_tol:
-                    rej_out[n_rej, 0] = leaf
-                    rej_out[n_rej, 1] = REJ_POSE_MISMATCH
-                    n_rej += 1
+                    rej.append((leaf, REJ_POSE_MISMATCH))
                     continue
                 psi_b, pst = arm_dihedral(Sb, Eb, Cb, (Rb[2], Rb[5], Rb[8]),
                                           tol_len, tol_parallel)
                 if pst != OK or abs(wrap_angle(psi_b - psi)) > psi_tol:
-                    rej_out[n_rej, 0] = leaf
-                    rej_out[n_rej, 1] = REJ_PSI_MISMATCH
-                    n_rej += 1
+                    rej.append((leaf, REJ_PSI_MISMATCH))
                     continue
                 dup = False
-                for jb in range(n_acc):
+                for br in acc:
+                    qb = br[0]
                     same = True
                     for ji in range(7):
-                        if abs(wrap_angle(qu[ji] - joints_out[jb, ji])) > angle_merge_tol:
+                        if abs(wrap_angle(qu[ji] - qb[ji])) > angle_merge_tol:
                             same = False
                             break
                     if same:
                         dup = True
                         break
                 if dup:
-                    rej_out[n_rej, 0] = leaf
-                    rej_out[n_rej, 1] = REJ_DUPLICATE
-                    n_rej += 1
+                    rej.append((leaf, REJ_DUPLICATE))
                     continue
-                for ji in range(7):
-                    joints_out[n_acc, ji] = qu[ji]
-                meta_out[n_acc, 0] = slot
-                meta_out[n_acc, 1] = t6
-                meta_out[n_acc, 2] = r6
-                meta_out[n_acc, 3] = q8
-                meta_out[n_acc, 4] = s4i
-                meta_out[n_acc, 5] = s2i
-                meta_out[n_acc, 6] = arm_eq_res
-                meta_out[n_acc, 7] = pose_eq_res
-                perr_out[n_acc] = perr
-                n_acc += 1
+                acc.append((qu, slot, t6, r6, q8, s4i, s2i, arm_eq_res,
+                            pose_eq_res, perr))
 
-    return joints_out, meta_out, perr_out, rej_out, n_acc, n_rej
+    return acc, rej

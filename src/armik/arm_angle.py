@@ -105,7 +105,7 @@ def reduce_pose(params, pose):
         raise InvalidInput("pose must be a Transform")
     A = np.empty((3, 3))
     d_sc, q, al, status = _K.reduce_pose_core(
-        pose.rotation, pose.translation, params.d_bs, TOL_LEN, TOL_PARALLEL, A
+        pose.rotation, pose.translation.tolist(), params.d_bs, TOL_LEN, TOL_PARALLEL, A
     )
     if status == ERR_ZERO_SC:
         raise ZeroSC("axis-7 center coincides with the shoulder")

@@ -21,7 +21,6 @@ from .robot import (
     JointConfig,
     RobotParams,
     Transform,
-    check_rotation,
     default_params,
     forward_kinematics,
     frame_points,
@@ -85,7 +84,8 @@ def _parse_rotation(val):
         raise InvalidRotation(
             "rotation must be a 3x3 matrix, a flat list of 9, or a quaternion [w,x,y,z]"
         )
-    return check_rotation(R, 1e-9)
+    # Transform validates the rotation
+    return R
 
 
 def _parse_pose(item):

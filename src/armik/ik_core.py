@@ -81,6 +81,11 @@ def leaf_label(leaf):
     return f"root{slot}/q4{q4s}/q2{q2s}"
 
 
+_LEAF_LABELS = tuple(leaf_label(leaf) for leaf in range(16))
+# kernel rejection code -> (reason, category)
+_REJECT_NAMES = {c: (n, REASON_CATEGORY[n]) for c, n in REASON_NAMES.items()}
+
+
 @dataclass
 class ToleranceSet:
     """Numerical acceptance thresholds for the branch enumeration."""
@@ -425,35 +430,16 @@ def _run_kernel(K, params, R07, p07, d_sc, q, al, psi, tol):
 
 
 def _assemble(kout):
-    joints, meta, perr, rej, n_acc, n_rej = kout
-    branches = []
-    for i in range(n_acc):
-        branches.append(
-            IkBranch(
-                joints=JointConfig(joints[i].copy()),
-                root_index=int(meta[i, 0]),
-                t6=float(meta[i, 1]),
-                r6=float(meta[i, 2]),
-                q8=float(meta[i, 3]),
-                q4_sign=int(meta[i, 4]),
-                q2_sign=int(meta[i, 5]),
-                pose_error=float(perr[i]),
-                arm_eq_residual=float(meta[i, 6]),
-                pose_eq_residual=float(meta[i, 7]),
-            )
-        )
-    rejected = []
-    for i in range(n_rej):
-        leaf = int(rej[i, 0])
-        reason = REASON_NAMES[int(rej[i, 1])]
-        rejected.append(
-            RejectedBranch(
-                label=leaf_label(leaf),
-                leaf=leaf,
-                reason=reason,
-                category=REASON_CATEGORY[reason],
-            )
-        )
+    accepted, rej = kout
+    branches = [
+        IkBranch(JointConfig(np.array(qu)), slot, t6, r6, q8, s4, s2, perr,
+                 arm_res, pose_res)
+        for qu, slot, t6, r6, q8, s4, s2, arm_res, pose_res, perr in accepted
+    ]
+    rejected = [
+        RejectedBranch(_LEAF_LABELS[leaf], leaf, *_REJECT_NAMES[code])
+        for leaf, code in rej
+    ]
     return SolutionSet(branches=branches, rejected=rejected)
 
 

@@ -53,12 +53,15 @@ def solve_quartic(
         raise InvalidInput(f"expected 5 coefficients, got {c.shape[0]}")
     if not np.all(np.isfinite(c)):
         raise InvalidInput("coefficients must be finite")
-    roots = np.empty(4)
-    mult = np.empty(4, dtype=np.int64)
+    roots = [0.0] * 4
+    mult = [0] * 4
     count, status = _K.solve_quartic_core(
         c[0], c[1], c[2], c[3], c[4],
         degree_tol, root_merge_tol, complex_accept, roots, mult,
     )
     if status != OK:
         raise AllCoefficientsZero("polynomial is identically zero")
-    return RealRoots(roots=roots[:count].copy(), multiplicities=mult[:count].copy())
+    return RealRoots(
+        roots=np.array(roots[:count], dtype=float),
+        multiplicities=np.array(mult[:count], dtype=np.int64),
+    )

@@ -34,7 +34,7 @@ def _as_vec(x, n, name):
     v = np.asarray(x, dtype=float).reshape(-1)
     if v.shape[0] != n:
         raise InvalidInput(f"{name} must have {n} elements, got {v.shape[0]}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise InvalidInput(f"{name} contains non-finite values")
     return v
 
@@ -44,14 +44,17 @@ def check_rotation(R, tol=ROT_TOL):
     R = np.asarray(R, dtype=float)
     if R.shape != (3, 3):
         raise InvalidRotation(f"rotation must be 3x3, got {R.shape}")
-    if not np.all(np.isfinite(R)):
+    if not np.isfinite(R).all():
         raise InvalidRotation("rotation contains non-finite values")
-    err = np.abs(R @ R.T - np.eye(3)).max()
+    (a, b, c), (d, e, f), (g, h, i) = R.tolist()
+    err = max(abs(a * a + b * b + c * c - 1.0), abs(d * d + e * e + f * f - 1.0),
+              abs(g * g + h * h + i * i - 1.0), abs(a * d + b * e + c * f),
+              abs(a * g + b * h + c * i), abs(d * g + e * h + f * i))
     if err > tol:
         raise InvalidRotation(f"rotation is not orthonormal (deviation {err:.3e})")
-    d = np.linalg.det(R)
-    if abs(d - 1.0) > tol:
-        raise InvalidRotation(f"rotation determinant is {d:.12f}, expected +1")
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if abs(det - 1.0) > tol:
+        raise InvalidRotation(f"rotation determinant is {det:.12f}, expected +1")
     return R
 
 

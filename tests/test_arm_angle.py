@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,31 @@ def test_reduce_pose_axis_parallel(params):
 def test_reduce_zero_sc(params):
     with pytest.raises(ZeroSC):
         reduce_pose(params, Transform(np.eye(3), [0.0, 0.0, params.d_bs]))
+
+
+def test_reduce_pose_far_offsets_keep_direction(params):
+    # the squared SC length overflows from about 1e154 m on; the reduction
+    # must still see the true direction instead of a zero vector
+    rng = np.random.default_rng(35)
+    for scale in (1e154, 1e200, 1e300):
+        R = special_pose(params, 0.4, -0.7, 0.3).rotation
+        sc = rng.normal(size=3) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rp = reduce_pose(params, Transform(R, sc + [0.0, 0.0, params.d_bs]))
+        assert abs(rp.d_sc - math.hypot(*sc)) <= 1e-15 * rp.d_sc
+        assert_allclose(rp.align @ (sc / rp.d_sc), [0.0, 0.0, 1.0], atol=1e-12)
+
+
+def test_reduce_pose_plain_norm_is_bit_exact(params):
+    # the overflow fallback must not touch ordinary poses
+    rng = np.random.default_rng(36)
+    for _ in range(200):
+        q = rng.uniform(-math.pi, math.pi, 7)
+        pose = forward_kinematics(params, q)
+        x, y, z = pose.translation.tolist()
+        z -= params.d_bs
+        assert reduce_pose(params, pose).d_sc == math.sqrt(x * x + y * y + z * z)
 
 
 def test_reduce_reconstruct_random_poses(params):

@@ -4,10 +4,11 @@ Half of the recorded requests are round trips (configurations >= 0.05 rad from
 every singular family, asked at their own arm angle), half are random goals in
 a box around the base at random arm angles. For every request the fixture
 holds the inputs, the outcome of each of the 16 leaves (0 for accepted, else
-the rejection code of armik.REASON_NAMES) with the joints of accepted leaves,
-or the ArmikError tag.
-Kernel rewrites must reproduce every leaf outcome exactly and every joint
-value to 1e-12 rad.
+the rejection code of armik.REASON_NAMES) with the joints and the diagnostic
+fields of accepted leaves, or the ArmikError tag.
+Kernel rewrites must reproduce every leaf outcome exactly, every joint value
+to 1e-12 rad, the integer diagnostics exactly and the float diagnostics to
+1e-12.
 
 Regenerate the fixture (only when a behaviour change is intended) with
 
@@ -32,6 +33,9 @@ from conftest import sample_far_joints
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "golden_solve.json")
 JOINT_TOL = 1e-12
+DIAG_TOL = 1e-12
+INT_FIELDS = ("root_index", "q4_sign", "q2_sign")
+FLOAT_FIELDS = ("t6", "r6", "q8", "pose_error", "arm_eq_residual", "pose_eq_residual")
 # workcell box around the base (meters)
 BOX_LO = (-1.0, -1.0, -0.5)
 BOX_HI = (1.0, 1.0, 1.3)
@@ -60,19 +64,22 @@ def _leaf(br):
 
 
 def outcome(params, R, p, psi):
-    """{"error": tag} or {"leaves": 16 leaf codes, "joints": {leaf: 7 joints}}."""
+    """{"error": tag} or {"leaves": 16 leaf codes, "joints": {leaf: 7 joints},
+    "diag": {leaf: {field: value}}}."""
     try:
         res = solve(IkRequest(pose=Transform(R, p), psi=psi, params=params))
     except ArmikError as e:
         return {"error": e.tag}
     leaves = [None] * 16
     joints = {}
+    diag = {}
     for br in res.branches:
         leaves[_leaf(br)] = 0
         joints[str(_leaf(br))] = [float(v) for v in br.joints.q]
+        diag[str(_leaf(br))] = {f: getattr(br, f) for f in INT_FIELDS + FLOAT_FIELDS}
     for rej in res.rejected:
         leaves[rej.leaf] = REASON_CODE[rej.reason]
-    return {"leaves": leaves, "joints": joints}
+    return {"leaves": leaves, "joints": joints, "diag": diag}
 
 
 def generate(n, seed):
@@ -134,6 +141,13 @@ def test_golden_solve_matches_fixture(params, kind):
                 for a, b in zip(got["joints"][leaf], want)
             )
             assert d <= JOINT_TOL, (i, leaf, d)
+        assert got["diag"].keys() == case["diag"].keys(), i
+        for leaf, want in case["diag"].items():
+            have = got["diag"][leaf]
+            for f in INT_FIELDS:
+                assert type(have[f]) is int and have[f] == want[f], (i, leaf, f)
+            for f in FLOAT_FIELDS:
+                assert abs(have[f] - want[f]) <= DIAG_TOL, (i, leaf, f, have[f], want[f])
 
 
 if __name__ == "__main__":

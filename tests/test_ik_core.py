@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -14,9 +15,11 @@ from armik import (
     NearAxisParallel,
     NoValidRoots,
     QuarticSetup,
+    REASON_NAMES,
     ReducedPose,
     RobotParams,
     ToleranceSet,
+    Transform,
     Unreachable,
     WristLikeDegenerate,
     arm_angle,
@@ -396,6 +399,58 @@ def test_branch_accounting_and_labels(params):
                 assert np.max(np.abs(J[i] - J[j])) > 1e-7
 
 
+def test_branch_diagnostics_match_their_definitions(params):
+    # the residuals and the pose error of a good branch are all about 1e-16,
+    # so no tolerance tells them apart; recomputing each from its definition
+    # with the kernel's operation order does
+    from armik._kernels import active as K
+
+    rng = np.random.default_rng(66)
+    seen = 0
+    for _ in range(20):
+        q0 = sample_far_joints(rng, params)
+        pose, rp, psi = _reduced_truth(params, q0)
+        res = solve(IkRequest(pose=pose, psi=psi, params=params))
+        k = build_quartic(rp.d_sc, rp.q, psi, params).k
+        sq, cq = math.sin(rp.q), math.cos(rp.q)
+        a_wr, d_sc = params.a_wr, rp.d_sc
+        for br in res.branches:
+            t6, r6 = br.t6, br.r6
+            cq8, sq8 = math.cos(br.q8), math.sin(br.q8)
+            pose_res = a_wr * t6 - d_sc * (r6 * cq - t6 * cq8 * sq) - k
+            arm_res = K.wrap_angle(
+                math.atan2(t6 * sq8, -r6 * sq - t6 * cq * cq8) + math.pi - psi)
+            fk = forward_kinematics(params, br.joints)
+            dx, dy, dz = (fk.translation - pose.translation).tolist()
+            perr = (K.rot_geodesic(tuple(fk.rotation.ravel().tolist()),
+                                   tuple(pose.rotation.ravel().tolist()))
+                    + math.sqrt(dx * dx + dy * dy + dz * dz))
+            for got, want in ((br.pose_eq_residual, pose_res),
+                              (br.arm_eq_residual, arm_res),
+                              (br.pose_error, perr)):
+                assert abs(got - want) <= 1e-9 * abs(want), (got, want)
+            # (t6 - a_wr, r6) = d_ew (cos q6, sin q6)
+            assert abs((t6 - a_wr) ** 2 + r6 * r6 - params.d_ew ** 2) < 1e-12
+            seen += 1
+    assert seen > 20
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e200, 1e300])
+def test_far_pose_gives_coded_rejections(params, scale):
+    # goals far out of reach are not axis_parallel: all 16 leaves come back
+    # rejected with a code, and nothing overflows along the way
+    rng = np.random.default_rng(64)
+    for _ in range(5):
+        R = forward_kinematics(params, rng.uniform(-math.pi, math.pi, 7)).rotation
+        p = rng.normal(size=3) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = solve(IkRequest(pose=Transform(R, p), psi=0.3, params=params))
+        assert not res.branches
+        assert sorted(r.leaf for r in res.rejected) == list(range(16))
+        assert all(r.reason in REASON_NAMES.values() for r in res.rejected)
+
+
 def test_ops_reproduce_kernel_branches(params):
     # the composable single-step functions must be able to rebuild every
     # accepted branch the fused kernel returns
@@ -456,11 +511,14 @@ def test_backends_agree(params):
             )
             for K in (_kernels.jit, _kernels.pure)
         ]
-        (j0, m0, p0, r0, na0, nr0), (j1, m1, p1, r1, na1, nr1) = outs
-        assert na0 == na1 and nr0 == nr1
-        assert np.array_equal(r0, r1)
-        assert_allclose(j0[:na0], j1[:na1], atol=1e-12)
-        assert_allclose(p0[:na0], p1[:na1], atol=1e-12)
+        (acc0, rej0), (acc1, rej1) = outs
+        assert [tuple(r) for r in rej0] == [tuple(r) for r in rej1]
+        assert len(acc0) == len(acc1)
+        for b0, b1 in zip(acc0, acc1):
+            # slot and the two signs
+            assert (b0[1], b0[5], b0[6]) == (b1[1], b1[5], b1[6])
+            assert_allclose(b0[0], b1[0], atol=1e-12)
+            assert_allclose(b0[9], b1[9], atol=1e-12)
 
 
 def test_pure_backend_env_flag(params):

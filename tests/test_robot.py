@@ -19,6 +19,8 @@ from armik import (
     load_params,
     mdh_transform,
 )
+from armik.robot import check_rotation
+from armik.verify import _quat_to_mat
 
 
 def _rotx(a):
@@ -125,6 +127,55 @@ def test_transform_validation():
         Transform(np.eye(3), [1.0, 2.0])
     with pytest.raises(InvalidInput):
         Transform(np.eye(3), [np.nan, 0.0, 0.0])
+
+
+def _numpy_rotation_ok(R, tol=1e-9):
+    # reference: the rotation check written with numpy matrix products
+    if np.abs(R @ R.T - np.eye(3)).max() > tol:
+        return False
+    return abs(np.linalg.det(R) - 1.0) <= tol
+
+
+def _rotation_ok(R):
+    try:
+        check_rotation(R)
+    except InvalidRotation:
+        return False
+    return True
+
+
+def test_check_rotation_edges():
+    # R R^T - I deviates by about s for a shear s, and by d for a row scaled
+    # by sqrt(1 + d)
+    shear = lambda s: np.array([[1.0, s, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    scaled = lambda d: np.diag([math.sqrt(1.0 + d), 1.0, 1.0])
+    for make in (shear, scaled):
+        assert _rotation_ok(make(0.5e-9))
+        assert not _rotation_ok(make(2e-9))
+    assert not _rotation_ok(np.diag([1.0, 1.0, -1.0]))
+    bad = np.eye(3)
+    bad[1, 2] = np.nan
+    assert not _rotation_ok(bad)
+    for shape in ((2, 3), (9,)):
+        with pytest.raises(InvalidRotation):
+            check_rotation(np.zeros(shape))
+    assert isinstance(check_rotation(np.eye(3).tolist()), np.ndarray)
+
+
+def test_check_rotation_matches_numpy_reference():
+    rng = np.random.default_rng(17)
+    verdicts = []
+    for i in range(20000):
+        quat = rng.normal(size=4)
+        R = _quat_to_mat(quat / np.linalg.norm(quat))
+        R = R + rng.uniform(-2e-9, 2e-9, size=(3, 3)) * rng.uniform()
+        if i % 10 == 0:
+            R = -R
+        ok = _rotation_ok(R)
+        assert ok == _numpy_rotation_ok(R), (i, R.tolist())
+        verdicts.append(ok)
+    # the perturbations straddle the tolerance
+    assert 0.2 < np.mean(verdicts) < 0.8
 
 
 def test_transform_compose_inverse_apply():
