@@ -8,6 +8,8 @@ with 17 significant digits so identical inputs give identical bytes.
 """
 
 import argparse
+import copy
+import functools
 import gc
 import json
 import math
@@ -27,16 +29,52 @@ from .robot import (
     load_params,
 )
 from .arm_angle import arm_angle
-from .ik_core import IkRequest, ToleranceSet, _run_kernel, solve
+from .ik_core import IkRequest, SolutionSet, ToleranceSet, _run_kernel, solve
 from .singularity import classify, family_distance
 from .verify import check_all
 from ._kernels import BACKEND, active, jit, pure
 
 # tags that indicate malformed input rather than a degenerate-but-valid request
 _PARSE_TAGS = ("invalid_params", "invalid_rotation", "invalid_input")
+# most arm-angle grid points one sweep may ask for
+SWEEP_MAX_COUNT = 10000
+
+
+# encoded dict keys and rejection entries; both come from fixed vocabularies,
+# so the tables stay small
+_KEY_JSON = {}
+_REJECTED_JSON = {}
+# branch labels hold only letters, digits, "/", "+" and "-": nothing to escape
+_BRANCH_JSON = (
+    '{"label":"%s","joints":[%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g],'
+    '"root_index":%d,"q4_sign":%d,"q2_sign":%d,"t6":%.17g,"r6":%.17g,"q8":%.17g,'
+    '"residuals":{"pose_error":%.17g,"arm_eq_residual":%.17g,"pose_eq_residual":%.17g}}'
+)
 
 
 def _fmt(obj):
+    """JSON text of obj: floats with 17 significant digits, no spaces.
+
+    A SolutionSet is written as the `ik` result object. Nested values go
+    through _encode, not this name, so each output is one call of _fmt.
+    """
+    return _encode(obj)
+
+
+def _encode(obj):
+    # exact types first; subclasses, numpy scalars and arrays, bools and None
+    # take the isinstance fallbacks
+    t = type(obj)
+    if t is float:
+        return "%.17g" % obj
+    if t is dict:
+        return _encode_dict(obj)
+    if t is list or t is tuple:
+        return "[" + ",".join(map(_encode, obj)) + "]"
+    if t is str:
+        return json.dumps(obj)
+    if t is SolutionSet:
+        return _encode_solution_set(obj)
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -48,12 +86,48 @@ def _fmt(obj):
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, np.ndarray):
-        return _fmt(obj.tolist())
+        return _encode(obj.tolist())
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_fmt(v) for v in obj) + "]"
+        return "[" + ",".join(map(_encode, obj)) + "]"
     if isinstance(obj, dict):
-        return "{" + ",".join(json.dumps(str(k)) + ":" + _fmt(v) for k, v in obj.items()) + "}"
+        return _encode_dict(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _encode_dict(obj):
+    parts = []
+    for k, v in obj.items():
+        if type(k) is str:
+            key = _KEY_JSON.get(k)
+            if key is None:
+                key = _KEY_JSON[k] = json.dumps(k) + ":"
+        else:
+            key = json.dumps(str(k)) + ":"
+        parts.append(key + _encode(v))
+    return "{" + ",".join(parts) + "}"
+
+
+def _encode_solution_set(res):
+    branches = [
+        _BRANCH_JSON
+        % (
+            b.label, *b.joints.q.tolist(), b.root_index, b.q4_sign, b.q2_sign,
+            b.t6, b.r6, b.q8, b.pose_error, b.arm_eq_residual, b.pose_eq_residual,
+        )
+        for b in res.branches
+    ]
+    rejected = []
+    for r in res.rejected:
+        key = (r.label, r.reason, r.category)
+        enc = _REJECTED_JSON.get(key)
+        if enc is None:
+            enc = _REJECTED_JSON[key] = _encode_dict(
+                {"branch": r.label, "reason": r.reason, "category": r.category}
+            )
+        rejected.append(enc)
+    return '{"count":%d,"branches":[%s],"rejected":[%s]}' % (
+        len(branches), ",".join(branches), ",".join(rejected),
+    )
 
 
 def _error_obj(exc):
@@ -107,42 +181,13 @@ def _get_joints(item):
     return JointConfig(np.asarray(item["joints"], dtype=float)).q
 
 
-def _solution_set_obj(res):
-    return {
-        "count": len(res.branches),
-        "branches": [
-            {
-                "label": b.label,
-                "joints": b.joints.q,
-                "root_index": b.root_index,
-                "q4_sign": b.q4_sign,
-                "q2_sign": b.q2_sign,
-                "t6": b.t6,
-                "r6": b.r6,
-                "q8": b.q8,
-                "residuals": {
-                    "pose_error": b.pose_error,
-                    "arm_eq_residual": b.arm_eq_residual,
-                    "pose_eq_residual": b.pose_eq_residual,
-                },
-            }
-            for b in res.branches
-        ],
-        "rejected": [
-            {"branch": r.label, "reason": r.reason, "category": r.category}
-            for r in res.rejected
-        ],
-    }
-
-
 def _cmd_ik(params, item):
     from .errors import InvalidInput
 
     pose = _parse_pose(item)
     if "psi" not in item:
         raise InvalidInput("ik input needs a 'psi' field")
-    res = solve(IkRequest(pose=pose, psi=float(item["psi"]), params=params))
-    return _solution_set_obj(res)
+    return solve(IkRequest(pose=pose, psi=float(item["psi"]), params=params))
 
 
 def _cmd_fk(params, item):
@@ -200,10 +245,12 @@ def _cmd_sweep(params, item):
         start = float(item["start"])
         stop = float(item["stop"])
         count = int(item["count"])
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise InvalidInput("sweep input needs numeric 'start', 'stop', 'count'") from None
-    if count < 1:
-        raise InvalidInput("sweep count must be >= 1")
+    if count < 1 or count > SWEEP_MAX_COUNT:
+        raise InvalidInput(f"sweep count must be between 1 and {SWEEP_MAX_COUNT}")
+    if not math.isfinite(stop - start):
+        raise InvalidInput("sweep 'start' and 'stop' must be finite, with a finite span")
     grid = np.linspace(start, stop, count)
     results = []
     for psi in grid:
@@ -338,7 +385,8 @@ def _write_output(args, obj):
         sys.stdout.write(text)
 
 
-def main(argv=None):
+@functools.lru_cache(maxsize=None)
+def _parser():
     ap = argparse.ArgumentParser(
         prog="armik",
         description="Closed-form IK for a 7-DOF arm with wrist offset",
@@ -361,10 +409,29 @@ def main(argv=None):
                 action="store_true",
                 help="time both the jit and pure backends",
             )
-    args = ap.parse_args(argv)
+    return ap
+
+
+@functools.lru_cache(maxsize=None)
+def _builtin_params():
+    return default_params()
+
+
+def _params(path):
+    """Parameters from path, or a private copy of the built-in set."""
+    if path:
+        return load_params(path)
+    base = _builtin_params()
+    params = copy.copy(base)
+    params.mdh = base.mdh.copy()
+    return params
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
 
     try:
-        params = load_params(args.params) if args.params else default_params()
+        params = _params(args.params)
     except ArmikError as e:
         sys.stderr.write(_fmt(_error_obj(e)) + "\n")
         return 1

@@ -429,10 +429,18 @@ def _run_kernel(K, params, R07, p07, d_sc, q, al, psi, tol):
     )
 
 
+def _verified_joints(qu):
+    # the kernel's joint tuples are finite and FK-verified, so this skips
+    # the caller-input validation of JointConfig.__init__
+    jc = object.__new__(JointConfig)
+    jc.q = np.array(qu, dtype=float)
+    return jc
+
+
 def _assemble(kout):
     accepted, rej = kout
     branches = [
-        IkBranch(JointConfig(np.array(qu)), slot, t6, r6, q8, s4, s2, perr,
+        IkBranch(_verified_joints(qu), slot, t6, r6, q8, s4, s2, perr,
                  arm_res, pose_res)
         for qu, slot, t6, r6, q8, s4, s2, arm_res, pose_res, perr in accepted
     ]

@@ -399,6 +399,21 @@ def test_branch_accounting_and_labels(params):
                 assert np.max(np.abs(J[i] - J[j])) > 1e-7
 
 
+def test_branch_joints_are_private_float64_vectors(params):
+    rng = np.random.default_rng(62)
+    q0 = sample_far_joints(rng, params)
+    pose, _, psi = _reduced_truth(params, q0)
+    res = solve(IkRequest(pose=pose, psi=psi, params=params))
+    assert res.branches
+    arrays = [br.joints.q for br in res.branches]
+    for q in arrays:
+        assert type(q) is np.ndarray and q.dtype == np.float64 and q.shape == (7,)
+        assert np.isfinite(q).all()
+    # every branch owns its vector
+    arrays[0][0] += 1.0
+    assert all(not np.shares_memory(arrays[0], q) for q in arrays[1:])
+
+
 def test_branch_diagnostics_match_their_definitions(params):
     # the residuals and the pose error of a good branch are all about 1e-16,
     # so no tolerance tells them apart; recomputing each from its definition
