@@ -8,8 +8,6 @@ with 17 significant digits so identical inputs give identical bytes.
 """
 
 import argparse
-import copy
-import functools
 import gc
 import json
 import math
@@ -40,9 +38,8 @@ _PARSE_TAGS = ("invalid_params", "invalid_rotation", "invalid_input")
 SWEEP_MAX_COUNT = 10000
 
 
-# encoded dict keys and rejection entries; both come from fixed vocabularies,
-# so the tables stay small
-_KEY_JSON = {}
+# encoded rejection entries, keyed by (label, reason, category); labels and
+# reasons come from fixed vocabularies, so the table stays small
 _REJECTED_JSON = {}
 # branch labels hold only letters, digits, "/", "+" and "-": nothing to escape
 _BRANCH_JSON = (
@@ -55,26 +52,8 @@ _BRANCH_JSON = (
 def _fmt(obj):
     """JSON text of obj: floats with 17 significant digits, no spaces.
 
-    A SolutionSet is written as the `ik` result object. Nested values go
-    through _encode, not this name, so each output is one call of _fmt.
+    A SolutionSet is written as the `ik` result object.
     """
-    return _encode(obj)
-
-
-def _encode(obj):
-    # exact types first; subclasses, numpy scalars and arrays, bools and None
-    # take the isinstance fallbacks
-    t = type(obj)
-    if t is float:
-        return "%.17g" % obj
-    if t is dict:
-        return _encode_dict(obj)
-    if t is list or t is tuple:
-        return "[" + ",".join(map(_encode, obj)) + "]"
-    if t is str:
-        return json.dumps(obj)
-    if t is SolutionSet:
-        return _encode_solution_set(obj)
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -86,28 +65,17 @@ def _encode(obj):
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, np.ndarray):
-        return _encode(obj.tolist())
+        return _fmt(obj.tolist())
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(map(_encode, obj)) + "]"
+        return "[" + ",".join(_fmt(v) for v in obj) + "]"
     if isinstance(obj, dict):
-        return _encode_dict(obj)
+        return "{" + ",".join(json.dumps(str(k)) + ":" + _fmt(v) for k, v in obj.items()) + "}"
+    if isinstance(obj, SolutionSet):
+        return _fmt_solution_set(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _encode_dict(obj):
-    parts = []
-    for k, v in obj.items():
-        if type(k) is str:
-            key = _KEY_JSON.get(k)
-            if key is None:
-                key = _KEY_JSON[k] = json.dumps(k) + ":"
-        else:
-            key = json.dumps(str(k)) + ":"
-        parts.append(key + _encode(v))
-    return "{" + ",".join(parts) + "}"
-
-
-def _encode_solution_set(res):
+def _fmt_solution_set(res):
     branches = [
         _BRANCH_JSON
         % (
@@ -121,7 +89,7 @@ def _encode_solution_set(res):
         key = (r.label, r.reason, r.category)
         enc = _REJECTED_JSON.get(key)
         if enc is None:
-            enc = _REJECTED_JSON[key] = _encode_dict(
+            enc = _REJECTED_JSON[key] = _fmt(
                 {"branch": r.label, "reason": r.reason, "category": r.category}
             )
         rejected.append(enc)
@@ -244,9 +212,14 @@ def _cmd_sweep(params, item):
     try:
         start = float(item["start"])
         stop = float(item["stop"])
-        count = int(item["count"])
-    except (KeyError, TypeError, ValueError, OverflowError):
+        count = item["count"]
+    except (KeyError, TypeError, ValueError):
         raise InvalidInput("sweep input needs numeric 'start', 'stop', 'count'") from None
+    # a JSON integer, or a float with an integral value such as 5.0 or 1e3
+    if type(count) is float and count.is_integer():
+        count = int(count)
+    if type(count) is not int:
+        raise InvalidInput("sweep 'count' must be an integer")
     if count < 1 or count > SWEEP_MAX_COUNT:
         raise InvalidInput(f"sweep count must be between 1 and {SWEEP_MAX_COUNT}")
     if not math.isfinite(stop - start):
@@ -385,8 +358,7 @@ def _write_output(args, obj):
         sys.stdout.write(text)
 
 
-@functools.lru_cache(maxsize=None)
-def _parser():
+def main(argv=None):
     ap = argparse.ArgumentParser(
         prog="armik",
         description="Closed-form IK for a 7-DOF arm with wrist offset",
@@ -409,29 +381,10 @@ def _parser():
                 action="store_true",
                 help="time both the jit and pure backends",
             )
-    return ap
-
-
-@functools.lru_cache(maxsize=None)
-def _builtin_params():
-    return default_params()
-
-
-def _params(path):
-    """Parameters from path, or a private copy of the built-in set."""
-    if path:
-        return load_params(path)
-    base = _builtin_params()
-    params = copy.copy(base)
-    params.mdh = base.mdh.copy()
-    return params
-
-
-def main(argv=None):
-    args = _parser().parse_args(argv)
+    args = ap.parse_args(argv)
 
     try:
-        params = _params(args.params)
+        params = load_params(args.params) if args.params else default_params()
     except ArmikError as e:
         sys.stderr.write(_fmt(_error_obj(e)) + "\n")
         return 1

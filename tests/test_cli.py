@@ -178,6 +178,18 @@ def test_sweep_rejects_overflowing_span(capsys, monkeypatch):
     _assert_sweep_rejected(capsys, monkeypatch, "-1e308", "1e308", "3")
 
 
+def test_sweep_rejects_non_integral_count(capsys, monkeypatch):
+    for count in ("2.5", '"5"', "true", "null", "[3]"):
+        _assert_sweep_rejected(capsys, monkeypatch, "-0.5", "0.5", count)
+
+
+def test_sweep_accepts_integral_float_count(capsys, monkeypatch):
+    calls = _no_linspace(monkeypatch)
+    with pytest.raises(AssertionError, match="linspace reached"):
+        main(["sweep", "--json", _sweep_text("-0.5", "0.5", "3.0")])
+    assert calls == [(-0.5, 0.5, 3)] and type(calls[0][2]) is int
+
+
 def test_sweep_count_limit(capsys, monkeypatch):
     from armik.cli import SWEEP_MAX_COUNT
 
@@ -187,53 +199,6 @@ def test_sweep_count_limit(capsys, monkeypatch):
     with pytest.raises(AssertionError, match="linspace reached"):
         main(["sweep", "--json", _sweep_text("-0.5", "0.5", str(SWEEP_MAX_COUNT))])
     assert calls == [(-0.5, 0.5, SWEEP_MAX_COUNT)]
-
-
-def test_repeated_main_calls_match_fresh_process(params, capsys, tmp_path, monkeypatch):
-    import armik.cli
-
-    pfile = tmp_path / "robot.json"
-    pfile.write_text(json.dumps({"d_bs": 0.34, "d_se": 0.4, "d_ew": 0.38, "a_wr": 0.06}))
-    psi = arm_angle(params, np.array(Q0))
-    ik_item = json.dumps(_pose_item(params, np.array(Q0), {"psi": psi}))
-    fk_item = json.dumps([{"joints": Q0}, {"joints": [0.0] * 7}])
-    argvs = [
-        ["ik", "--json", ik_item],
-        ["--params", str(pfile), "fk", "--json", fk_item],
-        ["fk", "--json", fk_item],
-        ["--params", str(pfile), "ik", "--json", ik_item],
-        ["classify", "--json", json.dumps({"joints": Q0, "with_jacobian": True})],
-        ["check", "--n", "5"],
-    ]
-    fresh = []
-    for argv in argvs:
-        proc = subprocess.run(
-            [sys.executable, "-m", "armik.cli", *argv], capture_output=True, text=True
-        )
-        fresh.append((proc.returncode, proc.stdout))
-    assert fresh[1] != fresh[2] and fresh[0] != fresh[3]
-
-    def same_as_fresh():
-        for argv, want in zip(argvs, fresh):
-            rc = main(argv)
-            assert (rc, capsys.readouterr().out) == want, argv
-
-    same_as_fresh()
-    same_as_fresh()
-    # a handler that mutates the built-in parameters must not leak them into
-    # later calls
-    fk = armik.cli._ITEM_HANDLERS["fk"]
-
-    def mutating_fk(p, item):
-        p.d_bs = 0.5
-        p.mdh[0, 2] = 0.5
-        return fk(p, item)
-
-    monkeypatch.setitem(armik.cli._ITEM_HANDLERS, "fk", mutating_fk)
-    main(["fk", "--json", fk_item])
-    capsys.readouterr()
-    monkeypatch.setitem(armik.cli._ITEM_HANDLERS, "fk", fk)
-    same_as_fresh()
 
 
 def test_batch_input(params, capsys):
