@@ -13,15 +13,10 @@ from .errors import (
     DegenerateArm,
     DegenerateReference,
     DegreeZero,
-    ElbowDegenerate,
     InvalidInput,
     InvalidParams,
     InvalidRotation,
-    NearAxisParallel,
     NoConvergence,
-    NoValidRoots,
-    Unreachable,
-    WristLikeDegenerate,
     ZeroSC,
 )
 from .robot import (
@@ -51,21 +46,10 @@ from .ik_core import (
     IkBranch,
     IkRequest,
     RejectedBranch,
-    QuarticSetup,
     SolutionSet,
     ToleranceSet,
-    build_quartic,
     leaf_label,
-    shoulder_consistency,
-    shoulder_in_frame6,
     solve,
-    solve_q123,
-    solve_q4,
-    solve_q5,
-    solve_q6_q8,
-    solve_q7,
-    solve_special,
-    unsquared_residual,
 )
 from .singularity import (
     SingularityReport,
@@ -86,8 +70,6 @@ from ._kernels import BACKEND
 __version__ = "0.1.0"
 
 __all__ = [
-    "unsquared_residual",
-    "shoulder_consistency",
     "leaf_label",
     "RejectedBranch",
     "REASON_NAMES",
@@ -101,7 +83,6 @@ __all__ = [
     "DegenerateArm",
     "DegenerateReference",
     "DegreeZero",
-    "ElbowDegenerate",
     "FramePoints",
     "IkBranch",
     "IkRequest",
@@ -109,10 +90,7 @@ __all__ = [
     "InvalidParams",
     "InvalidRotation",
     "JointConfig",
-    "NearAxisParallel",
     "NoConvergence",
-    "NoValidRoots",
-    "QuarticSetup",
     "RealRoots",
     "ReducedPose",
     "RobotParams",
@@ -120,12 +98,9 @@ __all__ = [
     "SolutionSet",
     "ToleranceSet",
     "Transform",
-    "Unreachable",
-    "WristLikeDegenerate",
     "ZeroSC",
     "arm_angle",
     "arm_angle_points",
-    "build_quartic",
     "check_all",
     "classify",
     "default_params",
@@ -142,13 +117,6 @@ __all__ = [
     "reconstruct_pose",
     "reduce_pose",
     "solve",
-    "solve_q123",
-    "solve_q4",
-    "solve_q5",
-    "solve_q6_q8",
-    "solve_q7",
     "solve_quartic",
-    "solve_special",
     "special_pose",
-    "shoulder_in_frame6",
 ]

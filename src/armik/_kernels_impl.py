@@ -557,8 +557,8 @@ def ik_solve_core(mdh, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
     """Enumerate all 16 candidate branches for a reduced pose.
 
     R07/p07 is the pose every branch is verified against (and the rotation fed
-    to the q1..q3 decomposition); the caller passes the original pose for the
-    general solve and the synthesized canonical pose for the special solve.
+    to the q1..q3 decomposition): the original pose of the request, of which
+    (d_sc, q, al) is the reduced form.
     mdh is the parameter table as 7 rows of floats, delta the 7 joint
     offsets, R07 a row-major 9-tuple and p07 a 3-tuple.
     Every one of the 16 leaves is either accepted or lands in the rejection

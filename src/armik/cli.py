@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from .errors import ArmikError
+from .errors import ArmikError, InvalidInput, InvalidRotation
 from .robot import (
     JointConfig,
     RobotParams,
@@ -103,9 +103,10 @@ def _error_obj(exc):
 
 
 def _parse_rotation(val):
-    from .errors import InvalidRotation
-
-    arr = np.asarray(val, dtype=float)
+    try:
+        arr = np.asarray(val, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidRotation("rotation entries must be numbers") from None
     if arr.shape == (3, 3):
         R = arr
     elif arr.shape == (9,):
@@ -131,31 +132,35 @@ def _parse_rotation(val):
 
 
 def _parse_pose(item):
-    from .errors import InvalidInput
-
     if "position" not in item or "rotation" not in item:
         raise InvalidInput("pose needs 'position' and 'rotation' fields")
-    pos = np.asarray(item["position"], dtype=float).reshape(-1)
+    try:
+        pos = np.asarray(item["position"], dtype=float).reshape(-1)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInput("position must be a list of 3 numbers") from None
     if pos.shape[0] != 3:
         raise InvalidInput("position must have 3 components")
     return Transform(_parse_rotation(item["rotation"]), pos)
 
 
 def _get_joints(item):
-    from .errors import InvalidInput
-
     if "joints" not in item:
         raise InvalidInput("input needs a 'joints' field with 7 values")
-    return JointConfig(np.asarray(item["joints"], dtype=float)).q
+    return JointConfig(item["joints"]).q
+
+
+def _float_field(item, key, default):
+    try:
+        return float(item.get(key, default))
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInput(f"'{key}' must be a number") from None
 
 
 def _cmd_ik(params, item):
-    from .errors import InvalidInput
-
     pose = _parse_pose(item)
     if "psi" not in item:
         raise InvalidInput("ik input needs a 'psi' field")
-    return solve(IkRequest(pose=pose, psi=float(item["psi"]), params=params))
+    return solve(IkRequest(pose=pose, psi=item["psi"], params=params))
 
 
 def _cmd_fk(params, item):
@@ -189,8 +194,8 @@ def _cmd_classify(params, item):
     rep = classify(
         joints,
         params,
-        hit_tol=float(item.get("hit_tol", 1e-6)),
-        hit_tol_m=float(item.get("hit_tol_m", 1e-9)),
+        hit_tol=_float_field(item, "hit_tol", 1e-6),
+        hit_tol_m=_float_field(item, "hit_tol_m", 1e-9),
         with_jacobian=bool(item.get("with_jacobian", False)),
     )
     return {
@@ -206,8 +211,6 @@ def _cmd_classify(params, item):
 
 
 def _cmd_sweep(params, item):
-    from .errors import InvalidInput
-
     pose = _parse_pose(item)
     try:
         start = float(item["start"])
@@ -331,8 +334,6 @@ _ITEM_HANDLERS = {
 
 
 def _read_input(args):
-    from .errors import InvalidInput
-
     if args.json is not None:
         text = args.json
     elif args.input == "-" or args.input is None:
@@ -407,8 +408,6 @@ def main(argv=None):
         worst = 0
         for item in items:
             if not isinstance(item, dict):
-                from .errors import InvalidInput
-
                 e = InvalidInput("each input item must be a JSON object")
                 results.append(_error_obj(e))
                 worst = max(worst, 1)

@@ -55,13 +55,6 @@ class DegenerateArm(ArmikError):
     tag = "degenerate_arm"
 
 
-class NearAxisParallel(ArmikError):
-    """sin(q) is too small for the quartic setup (same geometry as
-    AxisParallel, reported at the setup stage)."""
-
-    tag = "near_axis_parallel"
-
-
 class AllCoefficientsZero(ArmikError):
     """The quartic is identically zero."""
 
@@ -72,32 +65,6 @@ class DegreeZero(ArmikError):
     """No nonzero coefficient after degree reduction (oracle-side)."""
 
     tag = "degree_zero"
-
-
-class NoValidRoots(ArmikError):
-    """Every quartic root failed the cos(q6) domain test."""
-
-    tag = "no_valid_roots"
-
-
-class Unreachable(ArmikError):
-    """The elbow triangle cannot close for the requested shoulder-wrist
-    distance."""
-
-    tag = "unreachable"
-
-
-class ElbowDegenerate(ArmikError):
-    """q5 is undefined because sin(q4) ~ 0 (elbow fully extended/folded)."""
-
-    tag = "elbow_degenerate"
-
-
-class WristLikeDegenerate(ArmikError):
-    """q1 and q3 are individually undefined (|r33| ~ 1, the q2 = +/-pi/2
-    family); only their combination is determined."""
-
-    tag = "wrist_like_degenerate"
 
 
 class NoConvergence(ArmikError):

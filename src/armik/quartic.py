@@ -17,7 +17,6 @@ from ._kernels_impl import OK
 
 DEGREE_TOL = 1e-12
 ROOT_MERGE_TOL = 1e-8
-RESIDUAL_TOL = 1e-9
 COMPLEX_PAIR_TOL = 1e-7
 
 

@@ -31,7 +31,10 @@ _CANON_ALPHA = np.array(
 
 
 def _as_vec(x, n, name):
-    v = np.asarray(x, dtype=float).reshape(-1)
+    try:
+        v = np.asarray(x, dtype=float).reshape(-1)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInput(f"{name} must be a list of {n} numbers") from None
     if v.shape[0] != n:
         raise InvalidInput(f"{name} must have {n} elements, got {v.shape[0]}")
     if not np.isfinite(v).all():
@@ -41,7 +44,10 @@ def _as_vec(x, n, name):
 
 def check_rotation(R, tol=ROT_TOL):
     """Validate that R is a proper rotation within tol. Returns R as float64."""
-    R = np.asarray(R, dtype=float)
+    try:
+        R = np.asarray(R, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidRotation("rotation entries must be numbers") from None
     if R.shape != (3, 3):
         raise InvalidRotation(f"rotation must be 3x3, got {R.shape}")
     if not np.isfinite(R).all():

@@ -16,7 +16,6 @@ from armik import (
     IkRequest,
     REASON_NAMES,
     arm_angle,
-    build_quartic,
     classify,
     default_params,
     fk_oracle_batch,
@@ -28,6 +27,7 @@ from armik import (
     solve,
     solve_quartic,
 )
+from armik._kernels import active as K
 from armik.errors import ArmikError
 from conftest import family_sample, sample_far_joints, singular_distance
 
@@ -403,13 +403,15 @@ def test_criterion_7_polynomial_identity(params):
         d_sc = rng.uniform(0.05, 0.9)
         qv = rng.uniform(-math.pi + 0.02, -0.02)
         psi = rng.uniform(-math.pi, math.pi)
-        s = build_quartic(d_sc, qv, psi, params)
+        k, y, tm1, tm2, tm3, *coeffs = K.quartic_setup_core(
+            d_sc, qv, psi, params.d_se, params.d_ew, params.a_wr
+        )
         t = rng.uniform(-1.5, 1.5, 5)
-        lhs = (s.tm1 + t * s.tm2 + t * t * s.tm3) ** 2 - (
+        lhs = (tm1 + t * tm2 + t * t * tm3) ** 2 - (
             de**2 - (t - aw) ** 2
-        ) * s.y**2 * (s.k - aw * t) ** 2
-        rhs = np.polyval(s.coeffs, t)
-        scale = np.maximum(np.max(np.abs(s.coeffs)) * np.maximum(1.0, np.abs(t)) ** 4,
+        ) * y**2 * (k - aw * t) ** 2
+        rhs = np.polyval(coeffs, t)
+        scale = np.maximum(np.max(np.abs(coeffs)) * np.maximum(1.0, np.abs(t)) ** 4,
                            np.abs(lhs))
         worst = max(worst, float(np.max(np.abs(lhs - rhs) / scale)))
     ok = worst < 1e-9

@@ -12,14 +12,13 @@ from armik import (
     ZeroSC,
     arm_angle,
     arm_angle_points,
-    default_params,
     forward_kinematics,
     frame_points,
     reconstruct_pose,
     reduce_pose,
-    solve_special,
+    solve,
     special_pose,
-    ReducedPose,
+    IkRequest,
     Transform,
 )
 from conftest import sample_far_joints
@@ -54,7 +53,8 @@ def test_special_config_psi_matches_elbow_azimuth(params):
         qv = rng.uniform(-2.6, -0.5)
         al = rng.uniform(-math.pi, math.pi)
         psi = rng.uniform(-math.pi, math.pi)
-        res = solve_special(ReducedPose(d_sc, qv, al, np.eye(3)), psi, params)
+        pose = special_pose(params, d_sc, qv, al)
+        res = solve(IkRequest(pose=pose, psi=psi, params=params))
         for br in res.branches:
             pts = frame_points(params, br.joints.q)
             azim = math.atan2(pts.elbow[1], pts.elbow[0])
@@ -63,8 +63,9 @@ def test_special_config_psi_matches_elbow_azimuth(params):
 
 
 def test_psi_zero_and_pi_put_elbow_in_reference_plane(params):
+    pose = special_pose(params, 0.55, -1.1, 0.4)
     for psi, sign in ((0.0, -1.0), (math.pi, 1.0)):
-        res = solve_special(ReducedPose(0.55, -1.1, 0.4, np.eye(3)), psi, params)
+        res = solve(IkRequest(pose=pose, psi=psi, params=params))
         assert res.branches
         for br in res.branches:
             pts = frame_points(params, br.joints.q)
@@ -177,19 +178,17 @@ def test_self_motion_fixed_points(params):
     q0 = sample_far_joints(rng, params)
     pose = forward_kinematics(params, q0)
     rp = reduce_pose(params, pose)
+    sp = special_pose(params, rp.d_sc, rp.q, rp.al)
     for psi in (-2.0, -0.5, 0.3, 1.7):
-        res = solve_special(rp, psi, params)
+        res = solve(IkRequest(pose=sp, psi=psi, params=params))
         for br in res.branches:
             pts = frame_points(params, br.joints.q)
             assert_allclose(pts.shoulder, [0.0, 0.0, params.d_bs], atol=1e-12)
-            sp = special_pose(params, rp.d_sc, rp.q, rp.al)
             assert_allclose(pts.axis7, sp.translation, atol=1e-8)
 
 
 def test_arm_angle_invariant_over_self_motion(params):
     # every branch of the same (pose, psi) request reports the same psi
-    from armik import IkRequest, solve
-
     rng = np.random.default_rng(36)
     for _ in range(10):
         q0 = sample_far_joints(rng, params)

@@ -81,6 +81,52 @@ def test_ik_degenerate_pose_exit_code(params, capsys):
     assert out["error"]["tag"] == "axis_parallel"
 
 
+# (field, non-numeric value, error tag) for one `ik` item
+NON_NUMERIC_IK = [
+    ("psi", "abc", "invalid_input"),
+    ("psi", None, "invalid_input"),
+    ("position", ["a", 0.1, 0.6], "invalid_input"),
+    ("position", [[0.35], [0.1, 0.6]], "invalid_input"),
+    ("rotation", [1, "x", 0, 0], "invalid_rotation"),
+]
+
+
+@pytest.mark.parametrize(
+    "field, value, tag", NON_NUMERIC_IK,
+    ids=["psi_text", "psi_null", "position_text", "position_ragged", "rotation_text"],
+)
+def test_ik_non_numeric_field(params, capsys, field, value, tag):
+    item = _pose_item(params, np.array(Q0), {"psi": 0.3})
+    item[field] = value
+    rc, out = _run(capsys, ["ik", "--json", json.dumps(item)])
+    assert rc == 1
+    assert out["error"]["tag"] == tag
+
+
+def test_ik_batch_non_numeric_items_fail_alone(params, capsys):
+    good = _pose_item(params, np.array(Q0), {"psi": arm_angle(params, np.array(Q0))})
+    bad = [dict(good, **{field: value}) for field, value, _ in NON_NUMERIC_IK]
+    rc, out = _run(capsys, ["ik", "--json", json.dumps([good, *bad, good])])
+    assert rc == 1
+    assert [o["error"]["tag"] for o in out[1:-1]] == [t for _, _, t in NON_NUMERIC_IK]
+    assert out[0]["count"] > 0 and out[-1] == out[0]
+
+
+@pytest.mark.parametrize(
+    "cmd, item",
+    [
+        ("fk", {"joints": [0, 0, 0, 0, 0, 0, "a"]}),
+        ("classify", {"joints": [0, 0, 0, 0, 0, 0, "a"]}),
+        ("classify", {"joints": Q0, "hit_tol": "x"}),
+    ],
+    ids=["fk_joints", "classify_joints", "classify_hit_tol"],
+)
+def test_joint_commands_non_numeric_field(capsys, cmd, item):
+    rc, out = _run(capsys, [cmd, "--json", json.dumps(item)])
+    assert rc == 1
+    assert out["error"]["tag"] == "invalid_input"
+
+
 def test_rotation_input_forms(params, capsys):
     pose = forward_kinematics(params, np.array(Q0))
     R = pose.rotation

@@ -127,6 +127,15 @@ def test_transform_validation():
         Transform(np.eye(3), [1.0, 2.0])
     with pytest.raises(InvalidInput):
         Transform(np.eye(3), [np.nan, 0.0, 0.0])
+    # non-numeric entries are coded errors, not ValueError or TypeError
+    with pytest.raises(InvalidRotation):
+        Transform([[1, 0, 0], [0, 1, 0], [0, 0, "x"]], np.zeros(3))
+    with pytest.raises(InvalidRotation):
+        Transform([[1, 0, 0], [0, 1], [0, 0, 1]], np.zeros(3))
+    with pytest.raises(InvalidInput):
+        Transform(np.eye(3), ["a", 0.1, 0.6])
+    with pytest.raises(InvalidInput):
+        Transform(np.eye(3), [[0.35], [0.1, 0.6]])
 
 
 def _numpy_rotation_ok(R, tol=1e-9):
@@ -202,6 +211,8 @@ def test_joint_config_validation():
         JointConfig([0.0, 1.0, 2.0])
     with pytest.raises(InvalidInput):
         JointConfig([np.inf, 0, 0, 0, 0, 0, 0])
+    with pytest.raises(InvalidInput):
+        JointConfig([0, 0, 0, 0, 0, 0, "a"])
     jc = JointConfig([4.0, -4.0, 0, 0, 0, 0, math.pi]).wrapped()
     assert -math.pi < jc.q[0] <= math.pi
     assert -math.pi < jc.q[1] <= math.pi
