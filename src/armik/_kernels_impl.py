@@ -25,6 +25,9 @@ ERR_DEGENERATE_REFERENCE = 3
 ERR_DEGENERATE_ARM = 4
 ERR_ALL_COEFFS_ZERO = 5
 
+# alignment rows reduce_pose_core returns with an error status
+NO_ALIGN = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
 # per-leaf rejection codes (one of 16 = 4 root slots x 2 elbow signs x 2 q2 signs)
 REJ_COMPLEX_ROOT = 1
 REJ_COS_DOMAIN = 2
@@ -395,8 +398,9 @@ def solve_quartic_core(g4, g3, g2, g1, g0, degree_tol, root_merge_tol,
     return count, OK
 
 
-def reduce_pose_core(R, p, d_bs, tol_len, tol_parallel, A):
-    """Reduce an end pose to (d_sc, q, al) and the aligning rotation A."""
+def reduce_pose_core(R, p, d_bs, tol_len, tol_parallel):
+    """Reduce an end pose (R a row-major 9-list) to (d_sc, q, al, A, status),
+    A the rows of the aligning rotation as a row-major 9-tuple."""
     scx = p[0]
     scy = p[1]
     scz = p[2] - d_bs
@@ -412,19 +416,19 @@ def reduce_pose_core(R, p, d_bs, tol_len, tol_parallel, A):
     n = math.sqrt(ss)
     d_sc = m * n
     if d_sc < tol_len:
-        return 0.0, 0.0, 0.0, ERR_ZERO_SC
+        return 0.0, 0.0, 0.0, NO_ALIGN, ERR_ZERO_SC
     zvx = scx / n
     zvy = scy / n
     zvz = scz / n
-    z7x = R[0, 2]
-    z7y = R[1, 2]
-    z7z = R[2, 2]
+    z7x = R[2]
+    z7y = R[5]
+    z7z = R[8]
     crx = z7y * zvz - z7z * zvy
     cry = z7z * zvx - z7x * zvz
     crz = z7x * zvy - z7y * zvx
     cn = math.sqrt(crx * crx + cry * cry + crz * crz)
     if cn < tol_parallel:
-        return d_sc, 0.0, 0.0, ERR_AXIS_PARALLEL
+        return d_sc, 0.0, 0.0, NO_ALIGN, ERR_AXIS_PARALLEL
     yvx = crx / cn
     yvy = cry / cn
     yvz = crz / cn
@@ -435,28 +439,22 @@ def reduce_pose_core(R, p, d_bs, tol_len, tol_parallel, A):
         dd = -1.0
     q = -math.acos(dd)
     # A rows: yv x zv, yv, zv
-    A[0, 0] = yvy * zvz - yvz * zvy
-    A[0, 1] = yvz * zvx - yvx * zvz
-    A[0, 2] = yvx * zvy - yvy * zvx
-    A[1, 0] = yvx
-    A[1, 1] = yvy
-    A[1, 2] = yvz
-    A[2, 0] = zvx
-    A[2, 1] = zvy
-    A[2, 2] = zvz
+    A = (yvy * zvz - yvz * zvy, yvz * zvx - yvx * zvz, yvx * zvy - yvy * zvx,
+         yvx, yvy, yvz,
+         zvx, zvy, zvz)
     # al: signed angle from x72 = yv x z7 to x7 about z7
     x72x = yvy * z7z - yvz * z7y
     x72y = yvz * z7x - yvx * z7z
     x72z = yvx * z7y - yvy * z7x
-    x7x = R[0, 0]
-    x7y = R[1, 0]
-    x7z = R[2, 0]
+    x7x = R[0]
+    x7y = R[3]
+    x7z = R[6]
     cxx = x72y * x7z - x72z * x7y
     cxy = x72z * x7x - x72x * x7z
     cxz = x72x * x7y - x72y * x7x
     al = math.atan2(cxx * z7x + cxy * z7y + cxz * z7z,
                     x72x * x7x + x72y * x7y + x72z * x7z)
-    return d_sc, q, al, OK
+    return d_sc, q, al, A, OK
 
 
 def arm_dihedral(S, E, C, z7, tol_len, tol_parallel):
@@ -654,13 +652,16 @@ def ik_solve_core(mdh, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
         r6 = sgn6 * r6_mag
         q6 = math.atan2(r6, t6 - a_wr)
 
-        # q8: cos from the pose equation, sign of sin from the arm equation
-        if abs(t6) < tol_len:
+        # q8: cos from the pose equation, sign of sin from the arm equation;
+        # q rounds to 0 for tilts off SC of about 1e-8 rad, which pass the
+        # parallel test of reduce_pose_core
+        den = d_sc * sq * t6
+        if abs(t6) < tol_len or den == 0.0:
             for leaf4 in range(4):
                 rej.append((slot * 4 + leaf4, REJ_Q8_DEGENERATE))
             continue
         xv = a_wr * t6 - k - d_sc * r6 * cq
-        cq8 = -xv / (d_sc * sq * t6)
+        cq8 = -xv / den
         if abs(cq8) > 1.0 + sin_domain_tol:
             for leaf4 in range(4):
                 rej.append((slot * 4 + leaf4, REJ_COS_DOMAIN))

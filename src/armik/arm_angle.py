@@ -94,18 +94,19 @@ class ReducedPose:
     align: np.ndarray
 
 
-def reduce_pose(params, pose):
+def reduce_pose(params, pose, tol_len=TOL_LEN, tol_parallel=TOL_PARALLEL):
     """Reduce a tool pose to the aligned standard form.
 
-    Raises ZeroSC when the axis-7 center falls on the shoulder and
-    AxisParallel when the tool z-axis is parallel to SC (the aligned
-    frame is then not unique).
+    Raises ZeroSC when the axis-7 center falls within tol_len of the
+    shoulder and AxisParallel when the sine of the angle between the tool
+    z-axis and SC is below tol_parallel (the aligned frame is then not
+    unique).
     """
     if not isinstance(pose, Transform):
         raise InvalidInput("pose must be a Transform")
-    A = np.empty((3, 3))
-    d_sc, q, al, status = _K.reduce_pose_core(
-        pose.rotation, pose.translation.tolist(), params.d_bs, TOL_LEN, TOL_PARALLEL, A
+    d_sc, q, al, A, status = _K.reduce_pose_core(
+        pose.rotation.ravel().tolist(), pose.translation.tolist(), params.d_bs,
+        tol_len, tol_parallel,
     )
     if status == ERR_ZERO_SC:
         raise ZeroSC("axis-7 center coincides with the shoulder")
@@ -113,7 +114,7 @@ def reduce_pose(params, pose):
         raise AxisParallel(
             "tool z-axis is parallel to the shoulder-to-axis7 line"
         )
-    return ReducedPose(d_sc=float(d_sc), q=float(q), al=float(al), align=A)
+    return ReducedPose(d_sc=d_sc, q=q, al=al, align=np.array(A).reshape(3, 3))
 
 
 def special_pose(params, d_sc, q, al):

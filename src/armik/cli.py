@@ -27,7 +27,7 @@ from .robot import (
     load_params,
 )
 from .arm_angle import arm_angle
-from .ik_core import IkRequest, SolutionSet, ToleranceSet, _run_kernel, solve
+from .ik_core import DEFAULT_TOLERANCES, IkRequest, SolutionSet, _run_kernel, solve
 from .singularity import classify, family_distance
 from .verify import check_all
 from ._kernels import BACKEND, active, jit, pure
@@ -100,6 +100,10 @@ def _fmt_solution_set(res):
 
 def _error_obj(exc):
     return {"error": {"tag": exc.tag, "message": str(exc)}}
+
+
+def _exit_code(tag):
+    return 1 if tag in _PARSE_TAGS else 2
 
 
 def _parse_rotation(val):
@@ -270,9 +274,8 @@ def _bench_requests(params, n, seed):
 
 
 def _bench_core(K, params, R, p, psi, tol):
-    A = np.empty((3, 3))
-    d_sc, q, al, status = K.reduce_pose_core(
-        R, p, params.d_bs, tol.tol_len, tol.tol_parallel, A
+    d_sc, q, al, _, status = K.reduce_pose_core(
+        R.ravel().tolist(), p, params.d_bs, tol.tol_len, tol.tol_parallel
     )
     if status != 0:
         return None
@@ -303,7 +306,7 @@ def _time_backend(K, params, reqs, tol):
 
 
 def _cmd_bench(params, n, seed, compare):
-    tol = ToleranceSet()
+    tol = DEFAULT_TOLERANCES
     reqs = _bench_requests(params, n, seed)
     out = {"n": n, "seed": seed, "backend": BACKEND}
     out.update(_time_backend(active, params, reqs, tol))
@@ -413,15 +416,22 @@ def main(argv=None):
                 worst = max(worst, 1)
                 continue
             try:
-                results.append(handler(params, item))
+                out = handler(params, item)
             except ArmikError as e:
                 results.append(_error_obj(e))
-                worst = max(worst, 1 if e.tag in _PARSE_TAGS else 2)
+                worst = max(worst, _exit_code(e.tag))
+                continue
+            results.append(out)
+            if args.command == "sweep":
+                # a grid point that failed counts like a failed item
+                for point in out["results"]:
+                    if "error" in point:
+                        worst = max(worst, _exit_code(point["error"]["tag"]))
         _write_output(args, results if batch else results[0])
         return worst
     except ArmikError as e:
         sys.stderr.write(_fmt(_error_obj(e)) + "\n")
-        return 1 if e.tag in _PARSE_TAGS else 2
+        return _exit_code(e.tag)
 
 
 if __name__ == "__main__":

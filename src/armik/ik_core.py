@@ -18,7 +18,7 @@ validates the request, reduces the pose, runs the kernel and assembles its
 output into branch and rejection records.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -28,6 +28,7 @@ from .robot import JointConfig, Transform
 from .arm_angle import TOL_LEN, TOL_PARALLEL, reduce_pose
 from .quartic import COMPLEX_PAIR_TOL, DEGREE_TOL, ROOT_MERGE_TOL
 from ._kernels import active as _K
+from ._kernels_impl import BASE_OFFSETS
 
 PSI_TOL = 1e-8
 
@@ -72,12 +73,7 @@ def leaf_label(leaf):
     return f"root{slot}/q4{q4s}/q2{q2s}"
 
 
-_LEAF_LABELS = tuple(leaf_label(leaf) for leaf in range(16))
-# kernel rejection code -> (reason, category)
-_REJECT_NAMES = {c: (n, REASON_CATEGORY[n]) for c, n in REASON_NAMES.items()}
-
-
-@dataclass
+@dataclass(frozen=True)
 class ToleranceSet:
     """Numerical acceptance thresholds for the branch enumeration."""
 
@@ -96,6 +92,9 @@ class ToleranceSet:
         for name, v in self.__dict__.items():
             if not (isinstance(v, (int, float)) and v > 0):
                 raise InvalidInput(f"tolerance {name} must be positive")
+
+
+DEFAULT_TOLERANCES = ToleranceSet()
 
 
 @dataclass
@@ -120,7 +119,7 @@ class IkBranch:
         return f"root{self.root_index}/q4{q4s}/q2{q2s}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class RejectedBranch:
     """A candidate leaf that was ruled out, with the reason."""
 
@@ -128,6 +127,13 @@ class RejectedBranch:
     leaf: int
     reason: str
     category: str
+
+
+# (leaf, kernel rejection code) -> its record; every solve shares these
+_REJECTED = {
+    (leaf, code): RejectedBranch(leaf_label(leaf), leaf, name, REASON_CATEGORY[name])
+    for leaf in range(16) for code, name in REASON_NAMES.items()
+}
 
 
 @dataclass
@@ -153,7 +159,7 @@ class IkRequest:
     pose: Transform
     psi: float
     params: object
-    tolerances: ToleranceSet = field(default_factory=ToleranceSet)
+    tolerances: ToleranceSet = DEFAULT_TOLERANCES
 
     def __post_init__(self):
         if not isinstance(self.pose, Transform):
@@ -168,9 +174,10 @@ class IkRequest:
 
 
 def _run_kernel(K, params, R07, p07, d_sc, q, al, psi, tol):
+    mdh = tuple(map(tuple, params.mdh.tolist()))
     return K.ik_solve_core(
-        tuple(map(tuple, params.mdh.tolist())),
-        tuple(params.delta.tolist()),
+        mdh,
+        tuple([row[3] - off for row, off in zip(mdh, BASE_OFFSETS)]),
         params.d_se,
         params.d_ew,
         params.a_wr,
@@ -208,11 +215,7 @@ def _assemble(kout):
                  arm_res, pose_res)
         for qu, slot, t6, r6, q8, s4, s2, arm_res, pose_res, perr in accepted
     ]
-    rejected = [
-        RejectedBranch(_LEAF_LABELS[leaf], leaf, *_REJECT_NAMES[code])
-        for leaf, code in rej
-    ]
-    return SolutionSet(branches=branches, rejected=rejected)
+    return SolutionSet(branches=branches, rejected=list(map(_REJECTED.__getitem__, rej)))
 
 
 def solve(request):
@@ -226,7 +229,7 @@ def solve(request):
     if not isinstance(request, IkRequest):
         raise InvalidInput("request must be an IkRequest")
     tol = request.tolerances
-    rp = reduce_pose(request.params, request.pose)
+    rp = reduce_pose(request.params, request.pose, tol.tol_len, tol.tol_parallel)
     kout = _run_kernel(
         _K,
         request.params,

@@ -37,7 +37,7 @@ def _as_vec(x, n, name):
         raise InvalidInput(f"{name} must be a list of {n} numbers") from None
     if v.shape[0] != n:
         raise InvalidInput(f"{name} must have {n} elements, got {v.shape[0]}")
-    if not np.isfinite(v).all():
+    if not all(map(math.isfinite, v.tolist())):
         raise InvalidInput(f"{name} contains non-finite values")
     return v
 
@@ -50,9 +50,9 @@ def check_rotation(R, tol=ROT_TOL):
         raise InvalidRotation("rotation entries must be numbers") from None
     if R.shape != (3, 3):
         raise InvalidRotation(f"rotation must be 3x3, got {R.shape}")
-    if not np.isfinite(R).all():
+    a, b, c, d, e, f, g, h, i = flat = R.ravel().tolist()
+    if not all(map(math.isfinite, flat)):
         raise InvalidRotation("rotation contains non-finite values")
-    (a, b, c), (d, e, f), (g, h, i) = R.tolist()
     err = max(abs(a * a + b * b + c * c - 1.0), abs(d * d + e * e + f * f - 1.0),
               abs(g * g + h * h + i * i - 1.0), abs(a * d + b * e + c * f),
               abs(a * g + b * h + c * i), abs(d * g + e * h + f * i))

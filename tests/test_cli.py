@@ -81,6 +81,23 @@ def test_ik_degenerate_pose_exit_code(params, capsys):
     assert out["error"]["tag"] == "axis_parallel"
 
 
+def test_ik_near_axis_parallel_gives_coded_rejections(capsys):
+    # a 1e-8 rad tool tilt off SC: reduce_pose accepts it and returns q = -0.0
+    item = {
+        "position": [0.0, 0.0, 0.71],
+        "rotation": [
+            [0.955336489125606, -0.29552020666133955, -1e-08],
+            [0.29552020666133955, 0.955336489125606, 0.0],
+            [9.55336489125606e-09, -2.9552020666133954e-09, 1.0],
+        ],
+        "psi": -3.0,
+    }
+    rc, out = _run(capsys, ["ik", "--json", json.dumps(item)])
+    assert rc == 0
+    assert out["count"] + len(out["rejected"]) == 16
+    assert "q8_degenerate" in {rej["reason"] for rej in out["rejected"]}
+
+
 # (field, non-numeric value, error tag) for one `ik` item
 NON_NUMERIC_IK = [
     ("psi", "abc", "invalid_input"),
@@ -178,6 +195,14 @@ def test_sweep_cmd(params, capsys):
         assert "count" in row
         if abs(row["psi"] - psi0) < 1e-9:
             assert row["count"] > 0
+
+
+def test_sweep_exit_code_counts_failed_points(capsys):
+    # every grid point of this pose raises axis_parallel
+    item = {"position": [0, 0, 0.86], "rotation": [1, 0, 0, 0], "start": 0, "stop": 1, "count": 2}
+    rc, out = _run(capsys, ["sweep", "--json", json.dumps(item)])
+    assert [row["error"]["tag"] for row in out["results"]] == ["axis_parallel"] * 2
+    assert rc == 2
 
 
 SWEEP_POSE = {"position": [0.35, 0.1, 0.6], "rotation": [[1, 0, 0], [0, 0, -1], [0, 1, 0]]}
@@ -310,6 +335,12 @@ def test_bench_cmd(params, capsys):
         assert key in out
     assert out["p50_ns"] > 0
     assert out["p99_ns"] >= out["p90_ns"] >= out["p50_ns"]
+
+
+def test_bench_compare_backends_smoke(capsys):
+    rc, out = _run(capsys, ["bench", "--n", "5", "--compare-backends"])
+    assert rc == 0
+    assert out["n"] == 5 and out["backends"]["pure"]["p50_ns"] > 0
 
 
 def test_check_cmd(params, capsys):

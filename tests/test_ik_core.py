@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -9,12 +10,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 from armik import (
+    AxisParallel,
     IkRequest,
     InvalidInput,
+    REASON_CATEGORY,
     REASON_NAMES,
+    RejectedBranch,
     RobotParams,
     ToleranceSet,
     Transform,
+    ZeroSC,
     arm_angle,
     fk_oracle,
     forward_kinematics,
@@ -23,6 +28,7 @@ from armik import (
     solve,
     special_pose,
 )
+from armik.ik_core import DEFAULT_TOLERANCES, _REJECTED
 from armik._kernels import active as K
 from conftest import family_sample, sample_far_joints
 
@@ -89,6 +95,44 @@ def test_tolerance_set_validation():
         ToleranceSet(pose_tol=-1e-8)
     with pytest.raises(InvalidInput):
         ToleranceSet(psi_tol=0.0)
+
+
+def test_tolerances_and_rejections_are_immutable(params):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ToleranceSet().pose_tol = 1.0
+    req = IkRequest(pose=special_pose(params, 0.5, -0.05, 0.3), psi=0.3, params=params)
+    assert req.tolerances is DEFAULT_TOLERANCES
+    rej = solve(req).rejected[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rej.reason = "duplicate"
+    assert dataclasses.replace(DEFAULT_TOLERANCES, pose_tol=1e-6).pose_tol == 1e-6
+
+
+def test_rejection_table_matches_reason_vocabulary():
+    assert len(_REJECTED) == 16 * len(REASON_NAMES)
+    for (leaf, code), rec in _REJECTED.items():
+        name = REASON_NAMES[code]
+        assert rec == RejectedBranch(leaf_label(leaf), leaf, name, REASON_CATEGORY[name])
+
+
+@pytest.mark.parametrize(
+    "tol, error",
+    [(ToleranceSet(tol_parallel=0.5), AxisParallel), (ToleranceSet(tol_len=1.0), ZeroSC)],
+    ids=["tol_parallel", "tol_len"],
+)
+def test_solve_reduces_the_pose_with_the_request_tolerances(params, tol, error):
+    # the tool z-axis is 0.05 rad off SC and d_sc is 0.5
+    pose = special_pose(params, 0.5, -0.05, 0.3)
+    assert solve(IkRequest(pose=pose, psi=0.3, params=params)).branches
+    with pytest.raises(error):
+        solve(IkRequest(pose=pose, psi=0.3, params=params, tolerances=tol))
+
+
+def test_near_axis_parallel_gives_coded_rejections(params):
+    # a 1e-8 rad tilt off SC passes reduce_pose, which returns q = -0.0
+    res = solve(IkRequest(pose=special_pose(params, 0.35, -1e-8, 0.3), psi=-3.0, params=params))
+    assert len(res.branches) + len(res.rejected) == 16
+    assert "q8_degenerate" in {rej.reason for rej in res.rejected}
 
 
 def test_ik_request_wraps_psi(params):

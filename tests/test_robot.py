@@ -138,6 +138,25 @@ def test_transform_validation():
         Transform(np.eye(3), [[0.35], [0.1, 0.6]])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+def test_non_finite_entries_rejected_in_every_position(bad):
+    for k in range(9):
+        R = np.eye(3)
+        R.flat[k] = bad
+        with pytest.raises(InvalidRotation, match="non-finite"):
+            check_rotation(R)
+    for k in range(3):
+        p = np.zeros(3)
+        p[k] = bad
+        with pytest.raises(InvalidInput, match="translation contains non-finite"):
+            Transform(np.eye(3), p)
+    for k in range(7):
+        q = np.zeros(7)
+        q[k] = bad
+        with pytest.raises(InvalidInput, match="joints contains non-finite"):
+            JointConfig(q)
+
+
 def _numpy_rotation_ok(R, tol=1e-9):
     # reference: the rotation check written with numpy matrix products
     if np.abs(R @ R.T - np.eye(3)).max() > tol:
