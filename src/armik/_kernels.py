@@ -15,7 +15,6 @@ from . import _kernels_impl as _impl
 KERNEL_NAMES = (
     "wrap_angle",
     "mdh_link",
-    "affine_mul",
     "rot_mul_nt",
     "fk_chain",
     "rot_geodesic",

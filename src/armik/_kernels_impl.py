@@ -46,6 +46,9 @@ REJ_QUARTIC_ZERO = 13
 
 def wrap_angle(a):
     """Wrap to (-pi, pi]."""
+    if -3.0 < a < 3.0:
+        # (a + pi) / 2pi lies in (0.02, 0.98): the floor below is 0 and w == a
+        return a
     w = a - TWO_PI * math.floor((a + math.pi) / TWO_PI)
     if w <= -math.pi:
         w = math.pi
@@ -68,24 +71,6 @@ def mdh_link(alpha, a, d, theta):
             a, -sa * d, ca * d)
 
 
-def affine_mul(A, B):
-    """Product of two affines."""
-    a00, a01, a02, a10, a11, a12, a20, a21, a22, ax, ay, az = A
-    b00, b01, b02, b10, b11, b12, b20, b21, b22, bx, by, bz = B
-    return (a00 * b00 + a01 * b10 + a02 * b20,
-            a00 * b01 + a01 * b11 + a02 * b21,
-            a00 * b02 + a01 * b12 + a02 * b22,
-            a10 * b00 + a11 * b10 + a12 * b20,
-            a10 * b01 + a11 * b11 + a12 * b21,
-            a10 * b02 + a11 * b12 + a12 * b22,
-            a20 * b00 + a21 * b10 + a22 * b20,
-            a20 * b01 + a21 * b11 + a22 * b21,
-            a20 * b02 + a21 * b12 + a22 * b22,
-            a00 * bx + a01 * by + a02 * bz + ax,
-            a10 * bx + a11 * by + a12 * bz + ay,
-            a20 * bx + a21 * by + a22 * bz + az)
-
-
 def rot_mul_nt(A, B):
     """Rotation of A times the transpose of the rotation of B (A, B rotations
     or affines)."""
@@ -106,21 +91,44 @@ def fk_chain(mdh, q):
     """Full chain product of the 7 rows (alpha, a, d, theta_offset) of mdh.
 
     Returns (R, p, S, E, W): the base-to-end rotation as a row-major 9-tuple,
-    its translation, and the origins of frames 2/4/6.
+    its translation, and the origins of frames 2/4/6. Each step multiplies by
+    mdh_link(*row) with every term of the affine product, in order (the
+    `* 0.0` terms fix the signs of zeros).
     """
-    row = mdh[0]
-    T = mdh_link(row[0], row[1], row[2], row[3] + q[0])
+    alpha, a, d, off = mdh[0]
+    ca, sa = math.cos(alpha), math.sin(alpha)
+    th = off + q[0]
+    ct, st = math.cos(th), math.sin(th)
+    t00, t01, t02, tx = ct, -st, 0.0, a
+    t10, t11, t12, ty = ca * st, ca * ct, -sa, -sa * d
+    t20, t21, t22, tz = sa * st, sa * ct, ca, ca * d
     S = E = W = (0.0, 0.0, 0.0)
     for i in range(1, 7):
-        row = mdh[i]
-        T = affine_mul(T, mdh_link(row[0], row[1], row[2], row[3] + q[i]))
+        alpha, a, d, off = mdh[i]
+        ca, sa = math.cos(alpha), math.sin(alpha)
+        th = off + q[i]
+        ct, st = math.cos(th), math.sin(th)
+        b10, b11, by = ca * st, ca * ct, -sa * d
+        b20, b21, bz = sa * st, sa * ct, ca * d
+        tx = t00 * a + t01 * by + t02 * bz + tx
+        ty = t10 * a + t11 * by + t12 * bz + ty
+        tz = t20 * a + t21 * by + t22 * bz + tz
+        t00, t01, t02 = (t00 * ct + t01 * b10 + t02 * b20,
+                         t00 * -st + t01 * b11 + t02 * b21,
+                         t00 * 0.0 + t01 * -sa + t02 * ca)
+        t10, t11, t12 = (t10 * ct + t11 * b10 + t12 * b20,
+                         t10 * -st + t11 * b11 + t12 * b21,
+                         t10 * 0.0 + t11 * -sa + t12 * ca)
+        t20, t21, t22 = (t20 * ct + t21 * b10 + t22 * b20,
+                         t20 * -st + t21 * b11 + t22 * b21,
+                         t20 * 0.0 + t21 * -sa + t22 * ca)
         if i == 1:
-            S = (T[9], T[10], T[11])
+            S = (tx, ty, tz)
         elif i == 3:
-            E = (T[9], T[10], T[11])
+            E = (tx, ty, tz)
         elif i == 5:
-            W = (T[9], T[10], T[11])
-    return T[:9], T[9:], S, E, W
+            W = (tx, ty, tz)
+    return (t00, t01, t02, t10, t11, t12, t20, t21, t22), (tx, ty, tz), S, E, W
 
 
 def rot_geodesic(Ra, Rb):
@@ -594,6 +602,8 @@ def ik_solve_core(mdh, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
     n_slot = len(slot_t6)
     for leaf in range(n_slot * 4, 16):
         rej.append((leaf, REJ_COMPLEX_ROOT))
+    if n_slot == 0:
+        return acc, rej
 
     sq = math.sin(q)
     cq = math.cos(q)

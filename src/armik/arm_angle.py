@@ -44,10 +44,10 @@ def arm_angle(params, joints):
     tool z-axis is parallel to SC, DegenerateArm when the elbow lies on
     the SC line.
     """
-    q = _joints_array(joints)
-    psi, status = _K.arm_angle_core(params.mdh, q, TOL_LEN, TOL_PARALLEL)
+    q = _joints_array(joints).tolist()
+    psi, status = _K.arm_angle_core(params._rows, q, TOL_LEN, TOL_PARALLEL)
     if status == OK:
-        return float(psi)
+        return psi
     _raise_arm_status(status)
 
 
@@ -84,14 +84,19 @@ class ReducedPose:
 
     d_sc: shoulder to axis-7-center distance, q: polar angle of the tool
     z-axis in the aligned frame (in [-pi, 0]), al: residual tool rotation
-    about its z-axis, align: rotation taking base coordinates to the
-    aligned frame.
+    about its z-axis, align_rows: the rotation taking base coordinates to
+    the aligned frame as a row-major 9-tuple (align: the same as a 3x3
+    array, built when read).
     """
 
     d_sc: float
     q: float
     al: float
-    align: np.ndarray
+    align_rows: tuple
+
+    @property
+    def align(self):
+        return np.array(self.align_rows).reshape(3, 3)
 
 
 def reduce_pose(params, pose, tol_len=TOL_LEN, tol_parallel=TOL_PARALLEL):
@@ -114,7 +119,7 @@ def reduce_pose(params, pose, tol_len=TOL_LEN, tol_parallel=TOL_PARALLEL):
         raise AxisParallel(
             "tool z-axis is parallel to the shoulder-to-axis7 line"
         )
-    return ReducedPose(d_sc=d_sc, q=q, al=al, align=np.array(A).reshape(3, 3))
+    return ReducedPose(d_sc, q, al, A)
 
 
 def special_pose(params, d_sc, q, al):
@@ -131,7 +136,7 @@ def special_pose(params, d_sc, q, al):
 
 def reconstruct_pose(params, reduced):
     """Invert reduce_pose: rebuild the base-frame pose from the reduced form."""
-    A = np.asarray(reduced.align, dtype=float)
+    A = reduced.align
     sp = special_pose(params, reduced.d_sc, reduced.q, reduced.al)
     R = A.T @ sp.rotation
     p = A.T @ (sp.translation - np.array([0.0, 0.0, params.d_bs]))

@@ -275,7 +275,7 @@ def _bench_requests(params, n, seed):
 
 def _bench_core(K, params, R, p, psi, tol):
     d_sc, q, al, _, status = K.reduce_pose_core(
-        R.ravel().tolist(), p, params.d_bs, tol.tol_len, tol.tol_parallel
+        R.ravel().tolist(), p.tolist(), params.d_bs, tol.tol_len, tol.tol_parallel
     )
     if status != 0:
         return None

@@ -24,11 +24,10 @@ import math
 import numpy as np
 
 from .errors import InvalidInput
-from .robot import JointConfig, Transform
+from .robot import JointConfig, RobotParams, Transform
 from .arm_angle import TOL_LEN, TOL_PARALLEL, reduce_pose
 from .quartic import COMPLEX_PAIR_TOL, DEGREE_TOL, ROOT_MERGE_TOL
 from ._kernels import active as _K
-from ._kernels_impl import BASE_OFFSETS
 
 PSI_TOL = 1e-8
 
@@ -90,8 +89,9 @@ class ToleranceSet:
 
     def __post_init__(self):
         for name, v in self.__dict__.items():
-            if not (isinstance(v, (int, float)) and v > 0):
-                raise InvalidInput(f"tolerance {name} must be positive")
+            number = isinstance(v, (int, float)) and not isinstance(v, bool)
+            if not (number and 0 < v < math.inf):
+                raise InvalidInput(f"tolerance {name} must be a positive finite number")
 
 
 DEFAULT_TOLERANCES = ToleranceSet()
@@ -158,12 +158,16 @@ class IkRequest:
 
     pose: Transform
     psi: float
-    params: object
+    params: RobotParams
     tolerances: ToleranceSet = DEFAULT_TOLERANCES
 
     def __post_init__(self):
         if not isinstance(self.pose, Transform):
             raise InvalidInput("pose must be a Transform")
+        if not isinstance(self.params, RobotParams):
+            raise InvalidInput("params must be a RobotParams")
+        if not isinstance(self.tolerances, ToleranceSet):
+            raise InvalidInput("tolerances must be a ToleranceSet")
         try:
             self.psi = float(self.psi)
         except (TypeError, ValueError, OverflowError):
@@ -174,10 +178,9 @@ class IkRequest:
 
 
 def _run_kernel(K, params, R07, p07, d_sc, q, al, psi, tol):
-    mdh = tuple(map(tuple, params.mdh.tolist()))
     return K.ik_solve_core(
-        mdh,
-        tuple([row[3] - off for row, off in zip(mdh, BASE_OFFSETS)]),
+        params._rows,
+        params._delta,
         params.d_se,
         params.d_ew,
         params.a_wr,

@@ -81,7 +81,10 @@ class Transform:
 
     @classmethod
     def from_matrix(cls, T):
-        T = np.asarray(T, dtype=float)
+        try:
+            T = np.asarray(T, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidInput("homogeneous matrix entries must be numbers") from None
         if T.shape != (4, 4):
             raise InvalidInput(f"homogeneous matrix must be 4x4, got {T.shape}")
         return cls(T[:3, :3], T[:3, 3])
@@ -141,13 +144,14 @@ class FramePoints:
     axis7: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class RobotParams:
-    """Geometry of the arm.
+    """Geometry of the arm (immutable; derive variants with dataclasses.replace).
 
     d_bs: base to shoulder, d_se: shoulder to elbow, d_ew: elbow to wrist,
     a_wr: perpendicular offset between joint axes 6 and 7. All in meters.
-    mdh: (7,4) table of (alpha, a, d, theta_offset) rows.
+    mdh: (7,4) table of (alpha, a, d, theta_offset) rows, held as a
+    read-only copy.
     """
 
     d_bs: float
@@ -158,23 +162,34 @@ class RobotParams:
 
     def __post_init__(self):
         for name in ("d_bs", "d_se", "d_ew", "a_wr"):
-            v = float(getattr(self, name))
+            try:
+                v = float(getattr(self, name))
+            except (TypeError, ValueError, OverflowError):
+                raise InvalidParams(f"{name} must be a number") from None
             if not math.isfinite(v):
                 raise InvalidParams(f"{name} is not finite")
-            setattr(self, name, v)
+            self.__dict__[name] = v
         if self.d_bs <= 0 or self.d_se <= 0 or self.d_ew <= 0:
             raise InvalidParams("link lengths d_bs, d_se, d_ew must be positive")
         if self.a_wr < 0:
             raise InvalidParams("wrist offset a_wr must be non-negative")
         if self.a_wr >= self.d_ew:
             raise InvalidParams("wrist offset a_wr must be smaller than d_ew")
-        if self.mdh is None:
-            self.mdh = self._canonical_mdh()
-        self.mdh = np.asarray(self.mdh, dtype=float)
-        if self.mdh.shape != (7, 4):
-            raise InvalidParams(f"mdh table must be (7,4), got {self.mdh.shape}")
-        if not np.all(np.isfinite(self.mdh)):
+        try:
+            mdh = np.array(
+                self._canonical_mdh() if self.mdh is None else self.mdh, dtype=float
+            )
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidParams("mdh table must be a (7,4) table of numbers") from None
+        if mdh.shape != (7, 4):
+            raise InvalidParams(f"mdh table must be (7,4), got {mdh.shape}")
+        if not np.all(np.isfinite(mdh)):
             raise InvalidParams("mdh table contains non-finite values")
+        mdh.setflags(write=False)
+        # the kernels' float tables: 7 rows of 4 floats and the joint offsets
+        rows = tuple(map(tuple, mdh.tolist()))
+        delta = tuple([r[3] - off for r, off in zip(rows, BASE_OFFSETS)])
+        self.__dict__.update(mdh=mdh, _rows=rows, _delta=delta)
         self._check_structure()
 
     def _canonical_mdh(self):
@@ -233,17 +248,7 @@ class RobotParams:
         missing = [k for k in ("d_bs", "d_se", "d_ew", "a_wr") if k not in d]
         if missing:
             raise InvalidParams(f"missing parameter keys: {', '.join(missing)}")
-        try:
-            mdh = d.get("mdh")
-            return cls(
-                d_bs=float(d["d_bs"]),
-                d_se=float(d["d_se"]),
-                d_ew=float(d["d_ew"]),
-                a_wr=float(d["a_wr"]),
-                mdh=None if mdh is None else np.asarray(mdh, dtype=float),
-            )
-        except (TypeError, ValueError) as e:
-            raise InvalidParams(f"malformed parameter values: {e}") from None
+        return cls(d["d_bs"], d["d_se"], d["d_ew"], d["a_wr"], d.get("mdh"))
 
 
 def load_params(path):
@@ -278,13 +283,13 @@ def mdh_transform(alpha, a, d, theta):
 
 def forward_kinematics(params, joints):
     """Pose of frame 7 in base coordinates."""
-    R, p, _, _, _ = _K.fk_chain(params.mdh, _joints_array(joints))
+    R, p, _, _, _ = _K.fk_chain(params._rows, _joints_array(joints).tolist())
     return Transform(np.reshape(R, (3, 3)), p)
 
 
 def frame_points(params, joints):
     """Shoulder, elbow, wrist and axis-7 points in base coordinates."""
-    _, p, S, E, W = _K.fk_chain(params.mdh, _joints_array(joints))
+    _, p, S, E, W = _K.fk_chain(params._rows, _joints_array(joints).tolist())
     return FramePoints(
         shoulder=np.array(S), elbow=np.array(E), wrist=np.array(W), axis7=np.array(p)
     )

@@ -8,7 +8,8 @@ the rejection code of armik.REASON_NAMES) with the joints and the diagnostic
 fields of accepted leaves, or the ArmikError tag.
 Kernel rewrites must reproduce every leaf outcome exactly, every joint value
 to 1e-12 rad, the integer diagnostics exactly and the float diagnostics to
-1e-12.
+1e-12. Rewrites that keep every floating-point operation and its order (as
+the speedups so far have) must also pass the exact-bits test.
 
 Regenerate the fixture (only when a behaviour change is intended) with
 
@@ -148,6 +149,23 @@ def test_golden_solve_matches_fixture(params, kind):
                 assert type(have[f]) is int and have[f] == want[f], (i, leaf, f)
             for f in FLOAT_FIELDS:
                 assert abs(have[f] - want[f]) <= DIAG_TOL, (i, leaf, f, have[f], want[f])
+
+
+def test_golden_solve_bits_match_fixture(params):
+    # bit-identity gate: a rewrite that keeps every IEEE operation and its
+    # order reproduces the recorded joints and float diagnostics exactly
+    n_joints = n_diag = 0
+    for i, case in enumerate(_load()["cases"]):
+        if not case.get("joints"):
+            continue
+        got = outcome(params, np.reshape(case["R"], (3, 3)), case["p"], case["psi"])
+        for leaf, want in case["joints"].items():
+            assert got["joints"][leaf] == want, (i, leaf)
+            n_joints += 1
+            for f in FLOAT_FIELDS:
+                assert got["diag"][leaf][f] == case["diag"][leaf][f], (i, leaf, f)
+                n_diag += 1
+    assert n_joints > 0 and n_diag == len(FLOAT_FIELDS) * n_joints
 
 
 if __name__ == "__main__":

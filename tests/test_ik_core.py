@@ -95,6 +95,19 @@ def test_tolerance_set_validation():
         ToleranceSet(pose_tol=-1e-8)
     with pytest.raises(InvalidInput):
         ToleranceSet(psi_tol=0.0)
+    for bad in (True, math.inf):
+        with pytest.raises(InvalidInput, match="pose_tol"):
+            ToleranceSet(pose_tol=bad)
+
+
+@pytest.mark.parametrize("field", ["params", "tolerances"])
+@pytest.mark.parametrize("kind", ["none", "dict"])
+def test_request_rejects_foreign_params_and_tolerances(params, field, kind):
+    as_dict = {"params": params.to_dict(), "tolerances": {"pose_tol": 1e-8}}
+    fields = {"pose": special_pose(params, 0.5, -0.7, 0.3), "psi": 0.3, "params": params}
+    fields[field] = None if kind == "none" else as_dict[field]
+    with pytest.raises(InvalidInput, match=field):
+        solve(IkRequest(**fields))
 
 
 def test_tolerances_and_rejections_are_immutable(params):

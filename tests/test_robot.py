@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -136,6 +137,10 @@ def test_transform_validation():
         Transform(np.eye(3), ["a", 0.1, 0.6])
     with pytest.raises(InvalidInput):
         Transform(np.eye(3), [[0.35], [0.1, 0.6]])
+    with pytest.raises(InvalidInput):
+        Transform.from_matrix([["a", 0, 0, 0]] * 4)
+    with pytest.raises(InvalidInput):
+        Transform.from_matrix([[1, 0, 0, 0], [0, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
@@ -254,6 +259,36 @@ def test_params_validation():
     bad2[2, 2] = -0.39  # d column no longer matches d_se
     with pytest.raises(InvalidParams):
         RobotParams(d_bs=0.3, d_se=0.4, d_ew=0.4, a_wr=0.09, mdh=bad2)
+    # non-numeric or ragged values are coded errors, not ValueError or TypeError
+    good = (0.3, 0.4, 0.4, 0.09)
+    for args, mdh in [
+        (("x", 0.4, 0.4, 0.09), None),
+        ((None, 0.4, 0.4, 0.09), None),
+        ((0.3, 0.4, [0.4], 0.09), None),
+        (good, "x"),
+        (good, [[0.0, 0.0, 0.0, 0.0]] * 6 + [[0.0, 0.0, 0.0]]),
+        (good, [[0.0, 0.0, 0.0, "a"]] * 7),
+    ]:
+        with pytest.raises(InvalidParams):
+            RobotParams(*args, mdh=mdh)
+
+
+def test_params_are_immutable_and_own_their_table():
+    # a private instance: were these writes to succeed, they would leak into
+    # every test that uses the shared params fixture
+    params = default_params()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.d_ew = 0.5
+    with pytest.raises(ValueError):
+        params.mdh[0, 0] = 1.0
+    mdh = params.mdh.copy()
+    own = dataclasses.replace(params, mdh=mdh)
+    assert mdh.flags.writeable and own.mdh is not mdh
+    mdh[0, 3] = 0.5
+    assert own.mdh[0, 3] == params.mdh[0, 3]
+    assert own._rows == params._rows and own._delta == params._delta
+    with pytest.raises(InvalidParams):
+        dataclasses.replace(params, d_ew=-1.0)
 
 
 def test_params_theta_offsets_shift_user_coordinates(params):
