@@ -15,6 +15,7 @@ from . import _kernels_impl as _impl
 KERNEL_NAMES = (
     "wrap_angle",
     "mdh_link",
+    "link_rot",
     "rot_mul_nt",
     "fk_chain",
     "rot_geodesic",

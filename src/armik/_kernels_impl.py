@@ -71,11 +71,33 @@ def mdh_link(alpha, a, d, theta):
             a, -sa * d, ca * d)
 
 
+def link_table(rows):
+    """Constants of the rows (alpha, a, d, theta_offset) of a parameter table,
+    one row (cos alpha, sin alpha, -sin alpha, a, -sin alpha * d,
+    cos alpha * d, theta_offset) per joint. Setup code, not a kernel."""
+    links = []
+    for alpha, a, d, off in rows:
+        ca = math.cos(alpha)
+        sa = math.sin(alpha)
+        links.append((ca, sa, -sa, a, -sa * d, ca * d, off))
+    return tuple(links)
+
+
+def link_rot(L, theta):
+    """Rotation of the link transform of link_table row L at joint angle
+    theta: the first nine entries of mdh_link(alpha, a, d, theta)."""
+    ca, sa, nsa = L[0], L[1], L[2]
+    ct = math.cos(theta)
+    st = math.sin(theta)
+    return (ct, -st, 0.0,
+            ca * st, ca * ct, nsa,
+            sa * st, sa * ct, ca)
+
+
 def rot_mul_nt(A, B):
-    """Rotation of A times the transpose of the rotation of B (A, B rotations
-    or affines)."""
-    a00, a01, a02, a10, a11, a12, a20, a21, a22 = A[:9]
-    b00, b01, b02, b10, b11, b12, b20, b21, b22 = B[:9]
+    """Rotation A times the transpose of rotation B (row-major 9-tuples)."""
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = A
+    b00, b01, b02, b10, b11, b12, b20, b21, b22 = B
     return (a00 * b00 + a01 * b01 + a02 * b02,
             a00 * b10 + a01 * b11 + a02 * b12,
             a00 * b20 + a01 * b21 + a02 * b22,
@@ -87,48 +109,45 @@ def rot_mul_nt(A, B):
             a20 * b20 + a21 * b21 + a22 * b22)
 
 
-def fk_chain(mdh, q):
-    """Full chain product of the 7 rows (alpha, a, d, theta_offset) of mdh.
+def fk_chain(links, q):
+    """Full chain product of the 7 link_table rows in links at joints q.
 
     Returns (R, p, S, E, W): the base-to-end rotation as a row-major 9-tuple,
-    its translation, and the origins of frames 2/4/6. Each step multiplies by
-    mdh_link(*row) with every term of the affine product, in order (the
-    `* 0.0` terms fix the signs of zeros).
+    its translation, and the origins of frames 2/4/6 (after the odd steps).
+    Each step multiplies by mdh_link(alpha, a, d, theta_offset + q_i) with
+    every term of the affine product, in order (the `* 0.0` terms fix the
+    signs of zeros).
     """
-    alpha, a, d, off = mdh[0]
-    ca, sa = math.cos(alpha), math.sin(alpha)
+    ca, sa, nsa, a, nsd, cad, off = links[0]
     th = off + q[0]
     ct, st = math.cos(th), math.sin(th)
     t00, t01, t02, tx = ct, -st, 0.0, a
-    t10, t11, t12, ty = ca * st, ca * ct, -sa, -sa * d
-    t20, t21, t22, tz = sa * st, sa * ct, ca, ca * d
-    S = E = W = (0.0, 0.0, 0.0)
+    t10, t11, t12, ty = ca * st, ca * ct, nsa, nsd
+    t20, t21, t22, tz = sa * st, sa * ct, ca, cad
+    pts = []
     for i in range(1, 7):
-        alpha, a, d, off = mdh[i]
-        ca, sa = math.cos(alpha), math.sin(alpha)
+        ca, sa, nsa, a, by, bz, off = links[i]
         th = off + q[i]
         ct, st = math.cos(th), math.sin(th)
-        b10, b11, by = ca * st, ca * ct, -sa * d
-        b20, b21, bz = sa * st, sa * ct, ca * d
+        nst = -st
+        b10, b11 = ca * st, ca * ct
+        b20, b21 = sa * st, sa * ct
         tx = t00 * a + t01 * by + t02 * bz + tx
         ty = t10 * a + t11 * by + t12 * bz + ty
         tz = t20 * a + t21 * by + t22 * bz + tz
         t00, t01, t02 = (t00 * ct + t01 * b10 + t02 * b20,
-                         t00 * -st + t01 * b11 + t02 * b21,
-                         t00 * 0.0 + t01 * -sa + t02 * ca)
+                         t00 * nst + t01 * b11 + t02 * b21,
+                         t00 * 0.0 + t01 * nsa + t02 * ca)
         t10, t11, t12 = (t10 * ct + t11 * b10 + t12 * b20,
-                         t10 * -st + t11 * b11 + t12 * b21,
-                         t10 * 0.0 + t11 * -sa + t12 * ca)
+                         t10 * nst + t11 * b11 + t12 * b21,
+                         t10 * 0.0 + t11 * nsa + t12 * ca)
         t20, t21, t22 = (t20 * ct + t21 * b10 + t22 * b20,
-                         t20 * -st + t21 * b11 + t22 * b21,
-                         t20 * 0.0 + t21 * -sa + t22 * ca)
-        if i == 1:
-            S = (tx, ty, tz)
-        elif i == 3:
-            E = (tx, ty, tz)
-        elif i == 5:
-            W = (tx, ty, tz)
-    return (t00, t01, t02, t10, t11, t12, t20, t21, t22), (tx, ty, tz), S, E, W
+                         t20 * nst + t21 * b11 + t22 * b21,
+                         t20 * 0.0 + t21 * nsa + t22 * ca)
+        if i & 1:
+            pts.append((tx, ty, tz))
+    return ((t00, t01, t02, t10, t11, t12, t20, t21, t22), (tx, ty, tz),
+            pts[0], pts[1], pts[2])
 
 
 def rot_geodesic(Ra, Rb):
@@ -503,9 +522,9 @@ def arm_dihedral(S, E, C, z7, tol_len, tol_parallel):
     return wrap_angle(psi), OK
 
 
-def arm_angle_core(mdh, q, tol_len, tol_parallel):
+def arm_angle_core(links, q, tol_len, tol_parallel):
     """Arm angle of a joint configuration via the FK frame points."""
-    R, C, S, E, W = fk_chain(mdh, q)
+    R, C, S, E, W = fk_chain(links, q)
     return arm_dihedral(S, E, C, (R[2], R[5], R[8]), tol_len, tol_parallel)
 
 
@@ -556,7 +575,7 @@ def eq7_residual(t6, r6, k, y, a_wr, tm1, tm2, tm3):
     return res, sc
 
 
-def ik_solve_core(mdh, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
+def ik_solve_core(links, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
                   pose_tol, angle_merge_tol, branch_residual_tol,
                   sin_domain_tol, psi_tol, tol_len, tol_parallel, degree_tol,
                   root_merge_tol, complex_accept):
@@ -565,7 +584,7 @@ def ik_solve_core(mdh, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
     R07/p07 is the pose every branch is verified against (and the rotation fed
     to the q1..q3 decomposition): the original pose of the request, of which
     (d_sc, q, al) is the reduced form.
-    mdh is the parameter table as 7 rows of floats, delta the 7 joint
+    links is the parameter table as link_table rows, delta the 7 joint
     offsets, R07 a row-major 9-tuple and p07 a 3-tuple.
     Every one of the 16 leaves is either accepted or lands in the rejection
     table with a reason code; nothing is silently dropped.
@@ -611,10 +630,10 @@ def ik_solve_core(mdh, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
     sp = math.sin(psi)
 
     px, py, pz = p07
-    m3 = mdh[3]
-    m4 = mdh[4]
-    m5 = mdh[5]
-    m6 = mdh[6]
+    L3 = links[3]
+    L4 = links[4]
+    L5 = links[5]
+    L6 = links[6]
     prev_sign = 1.0
 
     for slot in range(n_slot):
@@ -718,8 +737,10 @@ def ik_solve_core(mdh, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
             dq8 = (-J21 * F1 + J11 * F2) / det
             q6 -= dq6
             q8 -= dq8
-        t6 = a_wr + d_ew * math.cos(q6)
-        r6 = d_ew * math.sin(q6)
+        c6 = math.cos(q6)
+        s6 = math.sin(q6)
+        t6 = a_wr + d_ew * c6
+        r6 = d_ew * s6
         cq8 = math.cos(q8)
         sq8 = math.sin(q8)
         pose_eq_res = a_wr * t6 - d_sc * (r6 * cq - t6 * cq8 * sq) - k
@@ -743,16 +764,16 @@ def ik_solve_core(mdh, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
             carg = -1.0
         q4a = math.acos(carg)
 
-        c6 = math.cos(q6)
-        s6 = math.sin(q6)
         a1 = -s6x * s6 - s6y * c6
         a2 = s6z
         cons = s6y * s6 - s6x * c6 - (d_ew + d_se * carg)
         # R03 = R07 R67' R56' R45' R34' (primes are transposes); the first
         # two factors do not depend on the elbow sign
-        R05 = rot_mul_nt(
-            rot_mul_nt(R07, mdh_link(m6[0], m6[1], m6[2], BASE_OFFSETS[6] + q7)),
-            mdh_link(m5[0], m5[1], m5[2], BASE_OFFSETS[5] + q6))
+        R05 = rot_mul_nt(rot_mul_nt(R07, link_rot(L6, BASE_OFFSETS[6] + q7)),
+                         link_rot(L5, BASE_OFFSETS[5] + q6))
+        # user coordinates of the joints shared by the slot's leaves
+        u6 = wrap_angle(q6 - delta[5])
+        u7 = wrap_angle(q7 - delta[6])
         for s4i in (1, -1):
             base = slot * 4 + (0 if s4i > 0 else 2)
             q4 = s4i * q4a
@@ -765,10 +786,11 @@ def ik_solve_core(mdh, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
                     rej.append((base + leaf2, REJ_CONSISTENCY))
                 continue
             q5 = math.atan2(s4i * a1, s4i * a2)
+            u4 = wrap_angle(q4 - delta[3])
+            u5 = wrap_angle(q5 - delta[4])
 
-            R03 = rot_mul_nt(
-                rot_mul_nt(R05, mdh_link(m4[0], m4[1], m4[2], BASE_OFFSETS[4] + q5)),
-                mdh_link(m3[0], m3[1], m3[2], BASE_OFFSETS[3] + q4))
+            R03 = rot_mul_nt(rot_mul_nt(R05, link_rot(L4, BASE_OFFSETS[4] + q5)),
+                             link_rot(L3, BASE_OFFSETS[3] + q4))
             r13 = R03[2]
             r23 = R03[5]
             r31 = R03[6]
@@ -787,11 +809,9 @@ def ik_solve_core(mdh, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
                 q3 = math.atan2(-r31 * sgn2, -r32 * sgn2)
 
                 qu = (wrap_angle(q1 - delta[0]), wrap_angle(q2 - delta[1]),
-                      wrap_angle(q3 - delta[2]), wrap_angle(q4 - delta[3]),
-                      wrap_angle(q5 - delta[4]), wrap_angle(q6 - delta[5]),
-                      wrap_angle(q7 - delta[6]))
+                      wrap_angle(q3 - delta[2]), u4, u5, u6, u7)
 
-                Rb, Cb, Sb, Eb, _ = fk_chain(mdh, qu)
+                Rb, Cb, Sb, Eb, _ = fk_chain(links, qu)
                 dx = Cb[0] - px
                 dy = Cb[1] - py
                 dz = Cb[2] - pz

@@ -45,7 +45,7 @@ def arm_angle(params, joints):
     the SC line.
     """
     q = _joints_array(joints).tolist()
-    psi, status = _K.arm_angle_core(params._rows, q, TOL_LEN, TOL_PARALLEL)
+    psi, status = _K.arm_angle_core(params._links, q, TOL_LEN, TOL_PARALLEL)
     if status == OK:
         return psi
     _raise_arm_status(status)
@@ -110,8 +110,7 @@ def reduce_pose(params, pose, tol_len=TOL_LEN, tol_parallel=TOL_PARALLEL):
     if not isinstance(pose, Transform):
         raise InvalidInput("pose must be a Transform")
     d_sc, q, al, A, status = _K.reduce_pose_core(
-        pose.rotation.ravel().tolist(), pose.translation.tolist(), params.d_bs,
-        tol_len, tol_parallel,
+        pose._rot, pose._pos, params.d_bs, tol_len, tol_parallel
     )
     if status == ERR_ZERO_SC:
         raise ZeroSC("axis-7 center coincides with the shoulder")

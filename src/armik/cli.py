@@ -263,19 +263,13 @@ def _bench_requests(params, n, seed):
             psi = arm_angle(params, q)
         except ArmikError:
             continue
-        reqs.append(
-            (
-                np.ascontiguousarray(pose.rotation),
-                np.ascontiguousarray(pose.translation),
-                psi,
-            )
-        )
+        reqs.append((pose._rot, pose._pos, psi))
     return reqs
 
 
 def _bench_core(K, params, R, p, psi, tol):
     d_sc, q, al, _, status = K.reduce_pose_core(
-        R.ravel().tolist(), p.tolist(), params.d_bs, tol.tol_len, tol.tol_parallel
+        R, p, params.d_bs, tol.tol_len, tol.tol_parallel
     )
     if status != 0:
         return None

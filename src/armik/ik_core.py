@@ -178,14 +178,15 @@ class IkRequest:
 
 
 def _run_kernel(K, params, R07, p07, d_sc, q, al, psi, tol):
+    # R07: the pose rotation as a row-major 9-tuple, p07: its translation
     return K.ik_solve_core(
-        params._rows,
+        params._links,
         params._delta,
         params.d_se,
         params.d_ew,
         params.a_wr,
-        tuple(R07.ravel().tolist()),
-        tuple(p07.ravel().tolist()),
+        R07,
+        p07,
         d_sc,
         q,
         al,
@@ -236,8 +237,8 @@ def solve(request):
     kout = _run_kernel(
         _K,
         request.params,
-        request.pose.rotation,
-        request.pose.translation,
+        request.pose._rot,
+        request.pose._pos,
         rp.d_sc,
         rp.q,
         rp.al,

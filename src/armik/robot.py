@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidInput, InvalidParams, InvalidRotation
 from ._kernels import active as _K
-from ._kernels_impl import BASE_OFFSETS
+from ._kernels_impl import BASE_OFFSETS, link_table
 
 ROT_TOL = 1e-9
 
@@ -64,16 +64,42 @@ def check_rotation(R, tol=ROT_TOL):
     return R
 
 
-@dataclass
 class Transform:
-    """Rigid transform: rotation (3,3) and translation (3,)."""
+    """Rigid transform: rotation (3,3) and translation (3,).
 
-    rotation: np.ndarray
-    translation: np.ndarray
+    Immutable. The constructor validates its input and keeps it as floats
+    (_rot: the rotation as a row-major 9-tuple, _pos: the translation), which
+    the kernels read. rotation and translation are read-only float64 arrays
+    built from those floats when first read, so writes to the caller's
+    arrays never reach a validated pose.
+    """
 
-    def __post_init__(self):
-        self.rotation = check_rotation(self.rotation)
-        self.translation = _as_vec(self.translation, 3, "translation")
+    __slots__ = ("_rot", "_pos", "_arrays")
+
+    def __init__(self, rotation, translation):
+        self._rot = tuple(check_rotation(rotation).ravel().tolist())
+        self._pos = tuple(_as_vec(translation, 3, "translation").tolist())
+        self._arrays = None
+
+    def _built(self):
+        if self._arrays is None:
+            R = np.array(self._rot).reshape(3, 3)
+            p = np.array(self._pos)
+            R.setflags(write=False)
+            p.setflags(write=False)
+            self._arrays = (R, p)
+        return self._arrays
+
+    @property
+    def rotation(self):
+        return self._built()[0]
+
+    @property
+    def translation(self):
+        return self._built()[1]
+
+    def __repr__(self):
+        return f"Transform(rotation={self.rotation!r}, translation={self.translation!r})"
 
     @classmethod
     def identity(cls):
@@ -118,7 +144,7 @@ class JointConfig:
     q: np.ndarray
 
     def __post_init__(self):
-        self.q = _as_vec(self.q, 7, "joints")
+        self.q = np.array(_as_vec(self.q, 7, "joints"))
 
     def wrapped(self):
         return JointConfig(np.array([_K.wrap_angle(v) for v in self.q]))
@@ -186,10 +212,10 @@ class RobotParams:
         if not np.all(np.isfinite(mdh)):
             raise InvalidParams("mdh table contains non-finite values")
         mdh.setflags(write=False)
-        # the kernels' float tables: 7 rows of 4 floats and the joint offsets
-        rows = tuple(map(tuple, mdh.tolist()))
+        # the kernels' float tables: the link constants and the joint offsets
+        rows = mdh.tolist()
         delta = tuple([r[3] - off for r, off in zip(rows, BASE_OFFSETS)])
-        self.__dict__.update(mdh=mdh, _rows=rows, _delta=delta)
+        self.__dict__.update(mdh=mdh, _links=link_table(rows), _delta=delta)
         self._check_structure()
 
     def _canonical_mdh(self):
@@ -283,13 +309,13 @@ def mdh_transform(alpha, a, d, theta):
 
 def forward_kinematics(params, joints):
     """Pose of frame 7 in base coordinates."""
-    R, p, _, _, _ = _K.fk_chain(params._rows, _joints_array(joints).tolist())
+    R, p, _, _, _ = _K.fk_chain(params._links, _joints_array(joints).tolist())
     return Transform(np.reshape(R, (3, 3)), p)
 
 
 def frame_points(params, joints):
     """Shoulder, elbow, wrist and axis-7 points in base coordinates."""
-    _, p, S, E, W = _K.fk_chain(params._rows, _joints_array(joints).tolist())
+    _, p, S, E, W = _K.fk_chain(params._links, _joints_array(joints).tolist())
     return FramePoints(
         shoulder=np.array(S), elbow=np.array(E), wrist=np.array(W), axis7=np.array(p)
     )

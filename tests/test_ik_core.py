@@ -392,8 +392,8 @@ def test_backends_agree(params):
             _run_kernel(
                 K,
                 params,
-                pose.rotation,
-                pose.translation,
+                pose._rot,
+                pose._pos,
                 rp.d_sc,
                 rp.q,
                 rp.al,

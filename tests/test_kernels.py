@@ -1,10 +1,11 @@
 """Kernel rewrites against reference copies of the code they replaced.
 
-fk_chain multiplies the link transforms in one loop over local floats; the
-reference below is the original product of mdh_link affines. wrap_angle
-returns its argument unchanged on (-3, 3); the reference is the floor
-formula alone. Both pairs must agree to the last bit (compared by repr, so
-the signs of zeros count).
+fk_chain multiplies the link transforms in one loop over local floats, reading
+the link constants of link_table; the reference below is the original product
+of mdh_link affines on the raw rows. link_rot is the rotation of mdh_link from
+the same constants. wrap_angle returns its argument unchanged on (-3, 3); the
+reference is the floor formula alone. Each pair must agree to the last bit
+(compared by repr, so the signs of zeros count).
 """
 
 import math
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from armik._kernels import active as K
+from armik._kernels_impl import link_table
 
 
 def _mdh_link(alpha, a, d, theta):
@@ -78,17 +80,34 @@ def _planar_table(rng):
                       rng.choice(SPECIAL)] for _ in range(7)])
 
 
+def _tables(params, rng):
+    mdh = params.mdh.copy()
+    mdh[:, 3] += rng.uniform(-1.0, 1.0, 7)  # non-zero theta offsets too
+    return [params.mdh, mdh] + [_planar_table(rng) for _ in range(20)]
+
+
 @pytest.mark.parametrize("as_numpy", [False, True], ids=["float_rows", "numpy_rows"])
 def test_fk_chain_matches_link_product_bits(params, as_numpy):
     rng = np.random.default_rng(71)
-    mdh = params.mdh.copy()
-    mdh[:, 3] += rng.uniform(-1.0, 1.0, 7)  # non-zero theta offsets too
-    for table in [params.mdh, mdh] + [_planar_table(rng) for _ in range(20)]:
+    for table in _tables(params, rng):
         rows = table if as_numpy else tuple(map(tuple, table.tolist()))
+        links = link_table(rows)
         for q in _joint_sets(rng, 150):
             if as_numpy:
                 q = np.array(q)
-            assert repr(K.fk_chain(rows, q)) == repr(_fk_chain_reference(rows, q)), q
+            assert repr(K.fk_chain(links, q)) == repr(_fk_chain_reference(rows, q)), q
+
+
+@pytest.mark.parametrize("as_numpy", [False, True], ids=["float_rows", "numpy_rows"])
+def test_link_rot_matches_mdh_link_bits(params, as_numpy):
+    rng = np.random.default_rng(73)
+    thetas = list(SPECIAL) + rng.uniform(-4.0, 4.0, 40).tolist()
+    for table in _tables(params, rng):
+        rows = table if as_numpy else tuple(map(tuple, table.tolist()))
+        for row, L in zip(rows, link_table(rows)):
+            for th in thetas:
+                want = K.mdh_link(row[0], row[1], row[2], th)[:9]
+                assert repr(K.link_rot(L, th)) == repr(want), (row, th)
 
 
 def test_wrap_angle_matches_floor_formula_bits():

@@ -7,18 +7,21 @@ import pytest
 from numpy.testing import assert_allclose
 
 from armik import (
+    IkRequest,
     InvalidInput,
     InvalidParams,
     InvalidRotation,
     JointConfig,
     RobotParams,
     Transform,
+    arm_angle,
     default_params,
     fk_oracle,
     forward_kinematics,
     frame_points,
     load_params,
     mdh_transform,
+    solve,
 )
 from armik.robot import check_rotation
 from armik.verify import _quat_to_mat
@@ -230,6 +233,34 @@ def test_transform_compose_inverse_apply():
         assert_allclose(Transform.from_matrix(t.matrix).matrix, t.matrix, atol=0)
 
 
+def test_transform_and_joints_own_their_arrays(params):
+    q0 = np.array([0.3, -0.7, 1.1, -1.9, 0.4, 0.9, -2.2])
+    want = forward_kinematics(params, q0)
+    psi = arm_angle(params, q0)
+    R, p = want.rotation.copy(), want.translation.copy()
+    T = Transform(R, p)
+    before = solve(IkRequest(pose=T, psi=psi, params=params))
+    assert before.branches
+    R[:] = 2.0 * R
+    p[:] = 0.0
+    assert (T.rotation == want.rotation).all() and (T.translation == want.translation).all()
+    after = solve(IkRequest(pose=T, psi=psi, params=params))
+    assert [b.joints.q.tolist() for b in after.branches] == [
+        b.joints.q.tolist() for b in before.branches
+    ]
+    assert after.rejected == before.rejected
+    with pytest.raises(ValueError):
+        T.rotation[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        T.translation[0] = 0.0
+    with pytest.raises(AttributeError):
+        T.rotation = np.eye(3)
+    # JointConfig copies its input and stays writeable
+    jc = JointConfig(q0)
+    q0[0] = 5.0
+    assert jc.q[0] == 0.3 and jc.q.flags.writeable
+
+
 def test_joint_config_validation():
     with pytest.raises(InvalidInput):
         JointConfig([0.0, 1.0, 2.0])
@@ -286,7 +317,7 @@ def test_params_are_immutable_and_own_their_table():
     assert mdh.flags.writeable and own.mdh is not mdh
     mdh[0, 3] = 0.5
     assert own.mdh[0, 3] == params.mdh[0, 3]
-    assert own._rows == params._rows and own._delta == params._delta
+    assert own._links == params._links and own._delta == params._delta
     with pytest.raises(InvalidParams):
         dataclasses.replace(params, d_ew=-1.0)
 
