@@ -29,7 +29,7 @@ from .robot import (
 from .arm_angle import arm_angle
 from .ik_core import DEFAULT_TOLERANCES, IkRequest, SolutionSet, _run_kernel, solve
 from .singularity import classify, family_distance
-from .verify import check_all
+from .verify import _quat_to_mat, check_all
 from ._kernels import BACKEND, active, jit, pure
 
 # tags that indicate malformed input rather than a degenerate-but-valid request
@@ -119,14 +119,7 @@ def _parse_rotation(val):
         n = float(np.linalg.norm(arr))
         if abs(n - 1.0) > 1e-9:
             raise InvalidRotation(f"quaternion norm {n:.12f} is not 1")
-        w, x, y, z = arr / n
-        R = np.array(
-            [
-                [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-                [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-                [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-            ]
-        )
+        R = _quat_to_mat(arr / n)
     else:
         raise InvalidRotation(
             "rotation must be a 3x3 matrix, a flat list of 9, or a quaternion [w,x,y,z]"
@@ -356,7 +349,7 @@ def _write_output(args, obj):
         sys.stdout.write(text)
 
 
-def main(argv=None):
+def _build_parser():
     ap = argparse.ArgumentParser(
         prog="armik",
         description="Closed-form IK for a 7-DOF arm with wrist offset",
@@ -379,7 +372,16 @@ def main(argv=None):
                 action="store_true",
                 help="time both the jit and pure backends",
             )
-    args = ap.parse_args(argv)
+    return ap
+
+
+# built once per process: parse_args keeps no state between calls, and the
+# build costs more than a solve
+_PARSER = _build_parser()
+
+
+def main(argv=None):
+    args = _PARSER.parse_args(argv)
 
     try:
         params = load_params(args.params) if args.params else default_params()

@@ -162,19 +162,24 @@ class IkRequest:
     tolerances: ToleranceSet = DEFAULT_TOLERANCES
 
     def __post_init__(self):
-        if not isinstance(self.pose, Transform):
-            raise InvalidInput("pose must be a Transform")
-        if not isinstance(self.params, RobotParams):
-            raise InvalidInput("params must be a RobotParams")
-        if not isinstance(self.tolerances, ToleranceSet):
-            raise InvalidInput("tolerances must be a ToleranceSet")
-        try:
-            self.psi = float(self.psi)
-        except (TypeError, ValueError, OverflowError):
-            raise InvalidInput("psi must be a number") from None
-        if not math.isfinite(self.psi):
-            raise InvalidInput("psi must be finite")
-        self.psi = _K.wrap_angle(self.psi)
+        self.psi = _check_fields(self.pose, self.psi, self.params, self.tolerances)
+
+
+def _check_fields(pose, psi, params, tolerances):
+    """Check the fields of a request; returns psi as a float in (-pi, pi]."""
+    if not isinstance(pose, Transform):
+        raise InvalidInput("pose must be a Transform")
+    if not isinstance(params, RobotParams):
+        raise InvalidInput("params must be a RobotParams")
+    if not isinstance(tolerances, ToleranceSet):
+        raise InvalidInput("tolerances must be a ToleranceSet")
+    try:
+        psi = float(psi)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInput("psi must be a number") from None
+    if not math.isfinite(psi):
+        raise InvalidInput("psi must be finite")
+    return _K.wrap_angle(psi)
 
 
 def _run_kernel(K, params, R07, p07, d_sc, q, al, psi, tol):
@@ -232,17 +237,18 @@ def solve(request):
     """
     if not isinstance(request, IkRequest):
         raise InvalidInput("request must be an IkRequest")
-    tol = request.tolerances
-    rp = reduce_pose(request.params, request.pose, tol.tol_len, tol.tol_parallel)
-    kout = _run_kernel(
-        _K,
-        request.params,
-        request.pose._rot,
-        request.pose._pos,
-        rp.d_sc,
-        rp.q,
-        rp.al,
-        request.psi,
-        tol,
-    )
+    pose, psi, params, tol = request.pose, request.psi, request.params, request.tolerances
+    # the fields stay editable after construction, so they are checked here.
+    # A request as built passes this cheap test; any other goes through the
+    # constructor's checks, so an edited request is solved as if built from
+    # its current fields and a bad one raises (reduce_pose checks the pose)
+    if not (
+        isinstance(params, RobotParams)
+        and isinstance(tol, ToleranceSet)
+        and type(psi) is float
+        and -math.pi < psi <= math.pi
+    ):
+        psi = _check_fields(pose, psi, params, tol)
+    rp = reduce_pose(params, pose, tol.tol_len, tol.tol_parallel)
+    kout = _run_kernel(_K, params, pose._rot, pose._pos, rp.d_sc, rp.q, rp.al, psi, tol)
     return _assemble(kout)

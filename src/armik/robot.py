@@ -11,6 +11,7 @@ user zero and the solver's internal zero.
 """
 
 from dataclasses import dataclass, field
+import functools
 import json
 import math
 import importlib.resources
@@ -80,6 +81,17 @@ class Transform:
         self._rot = tuple(check_rotation(rotation).ravel().tolist())
         self._pos = tuple(_as_vec(translation, 3, "translation").tolist())
         self._arrays = None
+
+    @classmethod
+    def _from_floats(cls, rot, pos):
+        # rot (a row-major 9-tuple) and pos (a 3-tuple) are floats a kernel
+        # computed from validated input: finite and orthonormal by
+        # construction, so this skips the checks of __init__
+        T = object.__new__(cls)
+        T._rot = rot
+        T._pos = pos
+        T._arrays = None
+        return T
 
     def _built(self):
         if self._arrays is None:
@@ -289,8 +301,13 @@ def load_params(path):
     return RobotParams.from_dict(doc)
 
 
+@functools.cache
 def default_params():
-    """Built-in parameter set shipped with the package."""
+    """Built-in parameter set shipped with the package.
+
+    Read once per process: every call returns the same immutable instance
+    (derive variants with dataclasses.replace).
+    """
     ref = importlib.resources.files("armik").joinpath("data/default_params.json")
     return RobotParams.from_dict(json.loads(ref.read_text()))
 
@@ -303,14 +320,14 @@ def _joints_array(joints):
 
 def mdh_transform(alpha, a, d, theta):
     """Single link transform for one table row at joint angle theta."""
-    link = _K.mdh_link(alpha, a, d, theta)
-    return Transform(np.reshape(link[:9], (3, 3)), link[9:])
+    link = _K.mdh_link(*_as_vec((alpha, a, d, theta), 4, "link parameters").tolist())
+    return Transform._from_floats(link[:9], link[9:])
 
 
 def forward_kinematics(params, joints):
     """Pose of frame 7 in base coordinates."""
     R, p, _, _, _ = _K.fk_chain(params._links, _joints_array(joints).tolist())
-    return Transform(np.reshape(R, (3, 3)), p)
+    return Transform._from_floats(R, p)
 
 
 def frame_points(params, joints):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -326,6 +327,41 @@ def test_custom_params_file(params, capsys, tmp_path):
     assert_allclose(out["pose"]["position"], want.translation, atol=0)
     rc = main(["--params", str(tmp_path / "missing.json"), "fk", "--json", "{}"])
     assert rc == 1
+
+
+def test_calls_through_one_parser_leak_no_state(params, capsys, tmp_path):
+    fk_zero = ["fk", "--json", json.dumps({"joints": [0.0] * 7})]
+    rc, want = _run(capsys, fk_zero)
+    assert rc == 0
+    # --output, then stdout
+    dst = tmp_path / "out.json"
+    assert main(fk_zero + ["--output", str(dst)]) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads(dst.read_text()) == want
+    dst.unlink()
+    assert _run(capsys, fk_zero) == (0, want)
+    assert not dst.exists()
+    # --params FILE, then the built-in set
+    pfile = tmp_path / "robot.json"
+    pfile.write_text(json.dumps(dataclasses.replace(params, d_bs=0.5, mdh=None).to_dict()))
+    rc, other = _run(capsys, ["--params", str(pfile)] + fk_zero)
+    assert rc == 0 and other["frame_points"]["shoulder"] == [0.0, 0.0, 0.5]
+    assert _run(capsys, fk_zero) == (0, want)
+    # an argparse error, then a good call
+    with pytest.raises(SystemExit) as exc:
+        main(["fk", "--no-such-flag"])
+    assert exc.value.code == 2
+    assert "--no-such-flag" in capsys.readouterr().err
+    assert _run(capsys, fk_zero) == (0, want)
+
+
+def test_params_file_is_read_on_every_call(params, capsys, tmp_path):
+    pfile = tmp_path / "robot.json"
+    argv = ["--params", str(pfile), "fk", "--json", json.dumps({"joints": [0.0] * 7})]
+    for d_bs in (0.3, 0.45):
+        pfile.write_text(json.dumps(dataclasses.replace(params, d_bs=d_bs, mdh=None).to_dict()))
+        rc, out = _run(capsys, argv)
+        assert rc == 0 and out["frame_points"]["shoulder"] == [0.0, 0.0, d_bs]
 
 
 def test_bench_cmd(params, capsys):

@@ -167,6 +167,40 @@ def test_ik_request_rejects_non_numeric_psi(params, psi):
         IkRequest(pose=pose, psi=psi, params=params)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("pose", np.eye(4)),
+        ("params", None),
+        ("tolerances", None),
+        ("psi", "abc"),
+        ("psi", None),
+        ("psi", math.nan),
+        ("psi", math.inf),
+    ],
+    ids=["pose_array", "params_none", "tolerances_none", "psi_text", "psi_none",
+         "psi_nan", "psi_inf"],
+)
+def test_request_edited_after_construction_raises_invalid_input(params, field, value):
+    req = IkRequest(pose=special_pose(params, 0.5, -0.7, 0.3), psi=0.3, params=params)
+    setattr(req, field, value)
+    with pytest.raises(InvalidInput, match=field):
+        solve(req)
+
+
+@pytest.mark.parametrize("psi", [7.0, np.float64(0.3), 1, -math.pi])
+def test_request_edited_to_a_valid_psi_solves_as_if_built_with_it(params, psi):
+    pose = special_pose(params, 0.5, -0.7, 0.3)
+    req = IkRequest(pose=pose, psi=0.0, params=params)
+    req.psi = psi
+    got = solve(req)
+    want = solve(IkRequest(pose=pose, psi=psi, params=params))
+    assert [b.joints.q.tolist() for b in got.branches] == [
+        b.joints.q.tolist() for b in want.branches
+    ]
+    assert got.rejected == want.rejected
+
+
 def test_accepted_branches_satisfy_both_constraints(params):
     # every accepted (t6, r6, q8) satisfies the pose and arm equations and
     # the unsquared combination the quartic was squared from

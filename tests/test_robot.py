@@ -24,6 +24,7 @@ from armik import (
     solve,
 )
 from armik.robot import check_rotation
+from armik._kernels import active as _K
 from armik.verify import _quat_to_mat
 
 
@@ -305,8 +306,8 @@ def test_params_validation():
 
 
 def test_params_are_immutable_and_own_their_table():
-    # a private instance: were these writes to succeed, they would leak into
-    # every test that uses the shared params fixture
+    # the shared built-in instance: were these writes to succeed, they would
+    # leak into every later default_params() call
     params = default_params()
     with pytest.raises(dataclasses.FrozenInstanceError):
         params.d_ew = 0.5
@@ -361,3 +362,34 @@ def test_default_params_loadable():
     assert p.a_wr == 0.0905
     assert p.mdh.shape == (7, 4)
     assert_allclose(p.delta, np.zeros(7), atol=0)
+
+
+def test_default_params_is_one_shared_immutable_instance():
+    shared = default_params()
+    assert default_params() is shared
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        shared.a_wr = 0.0
+    with pytest.raises(ValueError):
+        shared.mdh[6, 1] = 0.0
+    variant = dataclasses.replace(shared, a_wr=0.05, mdh=None)
+    assert variant.a_wr == 0.05 and variant is not default_params()
+    assert default_params().a_wr == 0.0905 and default_params().mdh[6, 1] == 0.0905
+
+
+def test_forward_kinematics_keeps_the_validated_transform_bits(params):
+    # the kernel's floats, as the validating constructor would keep them
+    K = params._links
+    rng = np.random.default_rng(17)
+    for scale in (1e-6, 1.0, 1e3):
+        for _ in range(100):
+            q = rng.uniform(-math.pi, math.pi, 7) * scale
+            R, p, _, _, _ = _K.fk_chain(K, q.tolist())
+            want = Transform(np.reshape(R, (3, 3)), p)
+            got = forward_kinematics(params, q)
+            assert repr((got._rot, got._pos)) == repr((want._rot, want._pos))
+            assert all(type(v) is float for v in got._rot + got._pos)
+    with pytest.raises(ValueError):
+        got.rotation[0, 0] = 0.0
+    for args in ((0.3, 0.1, math.nan, 0.2), (0.3, 0.1, 0.2, math.inf), ("a", 0.0, 0.0, 0.0)):
+        with pytest.raises(InvalidInput):
+            mdh_transform(*args)

@@ -18,6 +18,7 @@ from armik import (
     quartic_oracle,
     solve,
 )
+from armik.verify import _quat_to_mat
 from conftest import sample_far_joints
 
 
@@ -57,6 +58,22 @@ def test_fk_oracle_boundary_angles(params):
 def test_fk_oracle_batch_shape_check(params):
     with pytest.raises(InvalidInput):
         fk_oracle_batch(params, np.zeros((5, 6)))
+
+
+def test_quat_to_mat_one_and_batched_agree():
+    # armik ik converts one quaternion at a time, the oracles a batch
+    rng = np.random.default_rng(23)
+    Q = rng.normal(size=(200, 4))
+    Q /= np.linalg.norm(Q, axis=1, keepdims=True)
+    batch = _quat_to_mat(Q)
+    assert batch.shape == (200, 3, 3) and batch.flags.c_contiguous and batch.flags.owndata
+    for q, R in zip(Q, batch):
+        one = _quat_to_mat(q)
+        assert one.shape == (3, 3) and one.flags.c_contiguous and one.flags.owndata
+        assert one.tobytes() == R.tobytes()
+        assert_allclose(one @ one.T, np.eye(3), atol=1e-15)
+        w, x, y, z = q
+        assert one[2, 1] == 2 * (y * z + w * x)
 
 
 def test_quartic_oracle_examples():
