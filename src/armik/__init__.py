@@ -11,8 +11,6 @@ from .errors import (
     ArmikError,
     AxisParallel,
     DegenerateArm,
-    DegenerateReference,
-    DegreeZero,
     InvalidInput,
     InvalidParams,
     InvalidRotation,
@@ -34,7 +32,6 @@ from .arm_angle import (
     ReducedPose,
     arm_angle,
     arm_angle_points,
-    reconstruct_pose,
     reduce_pose,
     special_pose,
 )
@@ -81,8 +78,6 @@ __all__ = [
     "BACKEND",
     "CheckResult",
     "DegenerateArm",
-    "DegenerateReference",
-    "DegreeZero",
     "FramePoints",
     "IkBranch",
     "IkRequest",
@@ -114,7 +109,6 @@ __all__ = [
     "numeric_ik",
     "numeric_jacobian",
     "quartic_oracle",
-    "reconstruct_pose",
     "reduce_pose",
     "solve",
     "solve_quartic",

@@ -1,12 +1,8 @@
 """Hot-path kernels: forward kinematics, quartic roots, branch enumeration.
 
-Plain-Python bodies kept inside the numba-supported subset (float scalars,
-homogeneous tuples, homogeneous lists, math.*). The solve path runs on
-floats, tuples and lists only, which the pure backend executes far faster
-than numpy scalar indexing. ``armik._kernels`` imports
-this module twice: one copy stays pure Python, the other is rebound through
-numba.njit when available. Do not add Python objects, strings, or exceptions
-here; failures are reported through integer status codes.
+Plain-Python bodies on float scalars, tuples, lists and math.*, which
+Python runs far faster than numpy scalar indexing. Failures are reported
+through integer status codes, not exceptions.
 """
 
 import math
@@ -21,9 +17,8 @@ BASE_OFFSETS = (0.0, -HALF_PI, HALF_PI, 0.0, HALF_PI, HALF_PI, 0.0)
 OK = 0
 ERR_ZERO_SC = 1
 ERR_AXIS_PARALLEL = 2
-ERR_DEGENERATE_REFERENCE = 3
-ERR_DEGENERATE_ARM = 4
-ERR_ALL_COEFFS_ZERO = 5
+ERR_DEGENERATE_ARM = 3
+ERR_ALL_COEFFS_ZERO = 4
 
 # alignment rows reduce_pose_core returns with an error status
 NO_ALIGN = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -501,7 +496,7 @@ def arm_dihedral(S, E, C, z7, tol_len, tol_parallel):
     ay = z7[1] - dzu * uy
     az = z7[2] - dzu * uz
     if math.sqrt(ax * ax + ay * ay + az * az) < tol_parallel:
-        return 0.0, ERR_DEGENERATE_REFERENCE
+        return 0.0, ERR_AXIS_PARALLEL
     sex = E[0] - S[0]
     sey = E[1] - S[1]
     sez = E[2] - S[2]

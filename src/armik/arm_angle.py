@@ -19,7 +19,6 @@ import numpy as np
 from .errors import (
     AxisParallel,
     DegenerateArm,
-    DegenerateReference,
     InvalidInput,
     ZeroSC,
 )
@@ -28,7 +27,6 @@ from ._kernels import active as _K
 from ._kernels_impl import (
     ERR_AXIS_PARALLEL,
     ERR_DEGENERATE_ARM,
-    ERR_DEGENERATE_REFERENCE,
     ERR_ZERO_SC,
     OK,
 )
@@ -40,7 +38,7 @@ TOL_LEN = 1e-9
 def arm_angle(params, joints):
     """Arm angle for a joint configuration, in (-pi, pi].
 
-    Raises ZeroSC when C coincides with S, DegenerateReference when the
+    Raises ZeroSC when C coincides with S, AxisParallel when the
     tool z-axis is parallel to SC, DegenerateArm when the elbow lies on
     the SC line.
     """
@@ -69,8 +67,6 @@ def arm_angle_points(shoulder, elbow, axis7_center, tool_z):
 def _raise_arm_status(status):
     if status == ERR_ZERO_SC:
         raise ZeroSC("axis-7 center coincides with the shoulder")
-    if status == ERR_DEGENERATE_REFERENCE:
-        raise DegenerateReference("tool z-axis is parallel to the SC line")
     if status == ERR_DEGENERATE_ARM:
         raise DegenerateArm("elbow lies on the SC line, arm angle undefined")
     if status == ERR_AXIS_PARALLEL:
@@ -85,18 +81,13 @@ class ReducedPose:
     d_sc: shoulder to axis-7-center distance, q: polar angle of the tool
     z-axis in the aligned frame (in [-pi, 0]), al: residual tool rotation
     about its z-axis, align_rows: the rotation taking base coordinates to
-    the aligned frame as a row-major 9-tuple (align: the same as a 3x3
-    array, built when read).
+    the aligned frame as a row-major 9-tuple.
     """
 
     d_sc: float
     q: float
     al: float
     align_rows: tuple
-
-    @property
-    def align(self):
-        return np.array(self.align_rows).reshape(3, 3)
 
 
 def reduce_pose(params, pose, tol_len=TOL_LEN, tol_parallel=TOL_PARALLEL):
@@ -132,12 +123,3 @@ def special_pose(params, d_sc, q, al):
     p = np.array([0.0, 0.0, params.d_bs + d_sc])
     return Transform(R, p)
 
-
-def reconstruct_pose(params, reduced):
-    """Invert reduce_pose: rebuild the base-frame pose from the reduced form."""
-    A = reduced.align
-    sp = special_pose(params, reduced.d_sc, reduced.q, reduced.al)
-    R = A.T @ sp.rotation
-    p = A.T @ (sp.translation - np.array([0.0, 0.0, params.d_bs]))
-    p = p + np.array([0.0, 0.0, params.d_bs])
-    return Transform(R, p)

@@ -1,6 +1,6 @@
 """Command line front end: JSON in, JSON out.
 
-Subcommands: ik, fk, arm-angle, classify, sweep, bench, check. Input is a
+Subcommands: ik, fk, arm-angle, classify, sweep, check. Input is a
 single JSON object or a list of objects (batch); output mirrors the shape.
 Exit codes: 0 success, 1 parse/validation errors, 2 solver degeneracies
 (tagged machine-readable error objects either way). Floats are printed
@@ -8,11 +8,9 @@ with 17 significant digits so identical inputs give identical bytes.
 """
 
 import argparse
-import gc
 import json
 import math
 import sys
-import time
 
 import numpy as np
 
@@ -27,10 +25,9 @@ from .robot import (
     load_params,
 )
 from .arm_angle import arm_angle
-from .ik_core import DEFAULT_TOLERANCES, IkRequest, SolutionSet, _run_kernel, solve
-from .singularity import classify, family_distance
+from .ik_core import IkRequest, SolutionSet, solve
+from .singularity import classify
 from .verify import _quat_to_mat, check_all
-from ._kernels import BACKEND, active, jit, pure
 
 # tags that indicate malformed input rather than a degenerate-but-valid request
 _PARSE_TAGS = ("invalid_params", "invalid_rotation", "invalid_input")
@@ -244,68 +241,6 @@ def _cmd_sweep(params, item):
     return {"psi_grid": grid, "results": results}
 
 
-def _bench_requests(params, n, seed):
-    rng = np.random.default_rng(seed)
-    reqs = []
-    while len(reqs) < n:
-        q = rng.uniform(-math.pi, math.pi, 7)
-        if family_distance(q, params) < 0.05:
-            continue
-        pose = forward_kinematics(params, q)
-        try:
-            psi = arm_angle(params, q)
-        except ArmikError:
-            continue
-        reqs.append((pose._rot, pose._pos, psi))
-    return reqs
-
-
-def _bench_core(K, params, R, p, psi, tol):
-    d_sc, q, al, _, status = K.reduce_pose_core(
-        R, p, params.d_bs, tol.tol_len, tol.tol_parallel
-    )
-    if status != 0:
-        return None
-    return _run_kernel(K, params, R, p, d_sc, q, al, psi, tol)
-
-
-def _time_backend(K, params, reqs, tol):
-    for R, p, psi in reqs[: min(20, len(reqs))]:
-        _bench_core(K, params, R, p, psi, tol)
-    samples = np.empty(len(reqs))
-    gc.collect()
-    gc.disable()
-    try:
-        for i, (R, p, psi) in enumerate(reqs):
-            t0 = time.perf_counter_ns()
-            _bench_core(K, params, R, p, psi, tol)
-            samples[i] = time.perf_counter_ns() - t0
-    finally:
-        gc.enable()
-    p50, p90, p99 = np.percentile(samples, (50, 90, 99))
-    return {
-        "p50_ns": float(p50),
-        "p90_ns": float(p90),
-        "p99_ns": float(p99),
-        "mean_ns": float(samples.mean()),
-        "ratio_p99_p50": float(p99 / p50),
-    }
-
-
-def _cmd_bench(params, n, seed, compare):
-    tol = DEFAULT_TOLERANCES
-    reqs = _bench_requests(params, n, seed)
-    out = {"n": n, "seed": seed, "backend": BACKEND}
-    out.update(_time_backend(active, params, reqs, tol))
-    if compare:
-        table = {}
-        if jit is not None:
-            table["numba"] = _time_backend(jit, params, reqs, tol)
-        table["pure"] = _time_backend(pure, params, reqs, tol)
-        out["backends"] = table
-    return out
-
-
 def _cmd_check(params, n, seed):
     res = check_all(params, n=n, seed=seed)
     return (
@@ -361,17 +296,10 @@ def _build_parser():
         p.add_argument("input", nargs="?", help="input JSON file, or - for stdin")
         p.add_argument("--json", help="inline JSON input")
         p.add_argument("--output", help="write result to file instead of stdout")
-    for name in ("bench", "check"):
-        p = sub.add_parser(name)
-        p.add_argument("--n", type=int, default=1000 if name == "bench" else 200)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--output", help="write result to file instead of stdout")
-        if name == "bench":
-            p.add_argument(
-                "--compare-backends",
-                action="store_true",
-                help="time both the jit and pure backends",
-            )
+    p = sub.add_parser("check")
+    p.add_argument("--n", type=int, default=200)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--output", help="write result to file instead of stdout")
     return ap
 
 
@@ -390,10 +318,6 @@ def main(argv=None):
         return 1
 
     try:
-        if args.command == "bench":
-            out = _cmd_bench(params, args.n, args.seed, args.compare_backends)
-            _write_output(args, out)
-            return 0
         if args.command == "check":
             out, code = _cmd_check(params, args.n, args.seed)
             _write_output(args, out)

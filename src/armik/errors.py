@@ -43,12 +43,6 @@ class AxisParallel(ArmikError):
     tag = "axis_parallel"
 
 
-class DegenerateReference(ArmikError):
-    """Reference plane undefined: z7 parallel to SC."""
-
-    tag = "degenerate_reference"
-
-
 class DegenerateArm(ArmikError):
     """Arm plane undefined: the elbow lies on the SC line."""
 
@@ -59,12 +53,6 @@ class AllCoefficientsZero(ArmikError):
     """The quartic is identically zero."""
 
     tag = "all_coefficients_zero"
-
-
-class DegreeZero(ArmikError):
-    """No nonzero coefficient after degree reduction (oracle-side)."""
-
-    tag = "degree_zero"
 
 
 class NoConvergence(ArmikError):

@@ -182,9 +182,9 @@ def _check_fields(pose, psi, params, tolerances):
     return _K.wrap_angle(psi)
 
 
-def _run_kernel(K, params, R07, p07, d_sc, q, al, psi, tol):
+def _run_kernel(params, R07, p07, d_sc, q, al, psi, tol):
     # R07: the pose rotation as a row-major 9-tuple, p07: its translation
-    return K.ik_solve_core(
+    return _K.ik_solve_core(
         params._links,
         params._delta,
         params.d_se,
@@ -250,5 +250,5 @@ def solve(request):
     ):
         psi = _check_fields(pose, psi, params, tol)
     rp = reduce_pose(params, pose, tol.tol_len, tol.tol_parallel)
-    kout = _run_kernel(_K, params, pose._rot, pose._pos, rp.d_sc, rp.q, rp.al, psi, tol)
+    kout = _run_kernel(params, pose._rot, pose._pos, rp.d_sc, rp.q, rp.al, psi, tol)
     return _assemble(kout)

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import DegreeZero, InvalidInput, NoConvergence
+from .errors import AllCoefficientsZero, InvalidInput, NoConvergence
 from .robot import JointConfig, Transform, _joints_array
 
 
@@ -106,22 +106,22 @@ def quartic_oracle(
     Applies the same near-real acceptance rule as the analytical solver and
     polishes each accepted root with two guarded Newton steps so the two
     paths agree to tight tolerance away from classification boundaries.
-    Returns (roots ascending, multiplicities). Raises DegreeZero when no
-    t-dependence survives the degree cut.
+    Returns (roots ascending, multiplicities). Raises AllCoefficientsZero
+    for the identically zero polynomial; a polynomial with no t-dependence
+    after the degree cut has no roots.
     """
     c = np.asarray(coeffs, dtype=float).reshape(-1)
     if c.shape[0] != 5:
         raise InvalidInput(f"expected 5 coefficients, got {c.shape[0]}")
     scale = np.abs(c).max()
     if scale < 1e-300:
-        raise DegreeZero("all coefficients are zero")
+        raise AllCoefficientsZero("polynomial is identically zero")
     cn = c / scale
-    # strip leading coefficients below the relative degree cut
+    # strip leading coefficients below the relative degree cut (np.roots
+    # finds no roots of the constant left when all four go)
     lead = 0
     while lead < 4 and abs(cn[lead]) < degree_tol:
         lead += 1
-    if lead == 4:
-        raise DegreeZero("polynomial has no t-dependence after degree cut")
     poly = cn[lead:]
     roots = np.roots(poly)
     out = []
@@ -273,10 +273,7 @@ def check_all(params, n=500, seed=0):
     for _ in range(n):
         g = rng.uniform(-10.0, 10.0, size=5)
         rr = solve_quartic(g)
-        try:
-            ro, _ = quartic_oracle(g)
-        except DegreeZero:
-            ro = np.empty(0)
+        ro, _ = quartic_oracle(g)
         if rr.roots.shape[0] != ro.shape[0]:
             quartic_dev = math.inf
         elif rr.roots.shape[0]:

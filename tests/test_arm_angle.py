@@ -8,13 +8,11 @@ from numpy.testing import assert_allclose
 from armik import (
     AxisParallel,
     DegenerateArm,
-    DegenerateReference,
     ZeroSC,
     arm_angle,
     arm_angle_points,
     forward_kinematics,
     frame_points,
-    reconstruct_pose,
     reduce_pose,
     solve,
     special_pose,
@@ -26,6 +24,19 @@ from conftest import sample_far_joints
 
 def _wrap(a):
     return math.atan2(math.sin(a), math.cos(a))
+
+
+def _align(rp):
+    # the alignment rotation of a ReducedPose as a 3x3 array
+    return np.array(rp.align_rows).reshape(3, 3)
+
+
+def _reconstruct(params, rp):
+    # invert reduce_pose: carry the special pose back through the alignment
+    A = _align(rp)
+    sp = special_pose(params, rp.d_sc, rp.q, rp.al)
+    base = np.array([0.0, 0.0, params.d_bs])
+    return Transform(A.T @ sp.rotation, A.T @ (sp.translation - base) + base)
 
 
 def _dihedral_oracle(S, E, C, z7):
@@ -91,7 +102,7 @@ def test_arm_angle_point_degeneracies():
     C = np.array([0.0, 0.0, 0.9])
     with pytest.raises(ZeroSC):
         arm_angle_points(S, E, S, np.array([0.0, 0.0, 1.0]))
-    with pytest.raises(DegenerateReference):
+    with pytest.raises(AxisParallel):
         arm_angle_points(S, E, C, np.array([0.0, 0.0, 1.0]))  # z7 along SC
     on_line = S + 0.6 * (C - S)
     with pytest.raises(DegenerateArm):
@@ -104,7 +115,7 @@ def test_reduce_pose_fixed_point(params):
     assert abs(rp.d_sc - 0.4) < 1e-12
     assert abs(rp.q - (-0.7)) < 1e-12
     assert abs(rp.al - 0.3) < 1e-12
-    assert_allclose(rp.align, np.eye(3), atol=1e-12)
+    assert_allclose(_align(rp), np.eye(3), atol=1e-12)
 
 
 def test_reduce_pose_axis_parallel(params):
@@ -130,7 +141,7 @@ def test_reduce_pose_far_offsets_keep_direction(params):
             warnings.simplefilter("error")
             rp = reduce_pose(params, Transform(R, sc + [0.0, 0.0, params.d_bs]))
         assert abs(rp.d_sc - math.hypot(*sc)) <= 1e-15 * rp.d_sc
-        assert_allclose(rp.align @ (sc / rp.d_sc), [0.0, 0.0, 1.0], atol=1e-12)
+        assert_allclose(_align(rp) @ (sc / rp.d_sc), [0.0, 0.0, 1.0], atol=1e-12)
 
 
 def test_reduce_pose_plain_norm_is_bit_exact(params):
@@ -152,12 +163,12 @@ def test_reduce_reconstruct_random_poses(params):
         rp = reduce_pose(params, pose)
         assert rp.d_sc > 0
         assert -math.pi <= rp.q <= 0.0
-        back = reconstruct_pose(params, rp)
+        back = _reconstruct(params, rp)
         assert_allclose(back.rotation, pose.rotation, atol=1e-9)
         assert_allclose(back.translation, pose.translation, atol=1e-9)
         # align maps SC onto +z and the pose rotation onto Roty(q)Rotz(al)
         sc = pose.translation - np.array([0.0, 0.0, params.d_bs])
-        assert_allclose(rp.align @ sc, [0.0, 0.0, rp.d_sc], atol=1e-12)
+        assert_allclose(_align(rp) @ sc, [0.0, 0.0, rp.d_sc], atol=1e-12)
 
 
 def test_reduce_special_pose_grid(params):

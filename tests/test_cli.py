@@ -45,6 +45,20 @@ def test_fk_zero(params, capsys):
     assert out["psi_error"] == "degenerate_arm"
 
 
+def test_tool_z_along_sc_is_axis_parallel(params, capsys):
+    # straight arm, wrist turned so the angle at C between S and W is right:
+    # the tool z-axis, normal to the wrist offset, then lies along SC
+    q6 = math.pi / 2 + math.asin(params.a_wr / (params.d_se + params.d_ew))
+    item = json.dumps({"joints": [0.0, 0.0, 0.0, 0.0, 0.0, q6, 0.0]})
+    rc, out = _run(capsys, ["arm-angle", "--json", item])
+    assert rc == 2
+    assert out["error"]["tag"] == "axis_parallel"
+    rc, out = _run(capsys, ["fk", "--json", item])
+    assert rc == 0
+    assert out["psi"] is None
+    assert out["psi_error"] == "axis_parallel"
+
+
 def test_ik_round_trip(params, capsys):
     psi = arm_angle(params, np.array(Q0))
     item = _pose_item(params, np.array(Q0), {"psi": psi})
@@ -362,21 +376,6 @@ def test_params_file_is_read_on_every_call(params, capsys, tmp_path):
         pfile.write_text(json.dumps(dataclasses.replace(params, d_bs=d_bs, mdh=None).to_dict()))
         rc, out = _run(capsys, argv)
         assert rc == 0 and out["frame_points"]["shoulder"] == [0.0, 0.0, d_bs]
-
-
-def test_bench_cmd(params, capsys):
-    rc, out = _run(capsys, ["bench", "--n", "30", "--seed", "1"])
-    assert rc == 0
-    for key in ("p50_ns", "p90_ns", "p99_ns", "mean_ns", "ratio_p99_p50", "backend"):
-        assert key in out
-    assert out["p50_ns"] > 0
-    assert out["p99_ns"] >= out["p90_ns"] >= out["p50_ns"]
-
-
-def test_bench_compare_backends_smoke(capsys):
-    rc, out = _run(capsys, ["bench", "--n", "5", "--compare-backends"])
-    assert rc == 0
-    assert out["n"] == 5 and out["backends"]["pure"]["p50_ns"] > 0
 
 
 def test_check_cmd(params, capsys):

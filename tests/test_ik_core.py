@@ -1,8 +1,5 @@
 import dataclasses
 import math
-import os
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -408,62 +405,3 @@ def test_far_pose_gives_coded_rejections(params, scale):
         assert not res.branches
         assert sorted(r.leaf for r in res.rejected) == list(range(16))
         assert all(r.reason in REASON_NAMES.values() for r in res.rejected)
-
-
-def test_backends_agree(params):
-    from armik import _kernels
-
-    if _kernels.BACKEND != "numba":
-        pytest.skip("numba backend not active")
-    from armik.ik_core import _run_kernel
-
-    rng = np.random.default_rng(63)
-    for _ in range(10):
-        q0 = sample_far_joints(rng, params)
-        pose, rp, psi = _reduced_truth(params, q0)
-        tol = ToleranceSet()
-        outs = [
-            _run_kernel(
-                K,
-                params,
-                pose._rot,
-                pose._pos,
-                rp.d_sc,
-                rp.q,
-                rp.al,
-                psi,
-                tol,
-            )
-            for K in (_kernels.jit, _kernels.pure)
-        ]
-        (acc0, rej0), (acc1, rej1) = outs
-        assert [tuple(r) for r in rej0] == [tuple(r) for r in rej1]
-        assert len(acc0) == len(acc1)
-        for b0, b1 in zip(acc0, acc1):
-            # slot and the two signs
-            assert (b0[1], b0[5], b0[6]) == (b1[1], b1[5], b1[6])
-            assert_allclose(b0[0], b1[0], atol=1e-12)
-            assert_allclose(b0[9], b1[9], atol=1e-12)
-
-
-def test_pure_backend_env_flag(params):
-    code = (
-        "import os, numpy as np\n"
-        "import armik\n"
-        "assert armik.BACKEND == 'pure', armik.BACKEND\n"
-        "p = armik.default_params()\n"
-        "q0 = np.array([0.4, -1.2, 0.5, 1.1, -0.3, 0.9, 0.2])\n"
-        "pose = armik.forward_kinematics(p, q0)\n"
-        "psi = armik.arm_angle(p, q0)\n"
-        "res = armik.solve(armik.IkRequest(pose=pose, psi=psi, params=p))\n"
-        "assert res.branches\n"
-        "best = min(np.max(np.abs(b.joints.q - q0)) for b in res.branches)\n"
-        "assert best < 1e-6, best\n"
-        "print('ok')\n"
-    )
-    env = dict(os.environ, ARMIK_DISABLE_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "ok"

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from armik import (
-    DegreeZero,
+    AllCoefficientsZero,
     IkRequest,
     InvalidInput,
     NoConvergence,
@@ -17,6 +17,7 @@ from armik import (
     numeric_ik,
     quartic_oracle,
     solve,
+    solve_quartic,
 )
 from armik.verify import _quat_to_mat
 from conftest import sample_far_joints
@@ -87,10 +88,14 @@ def test_quartic_oracle_examples():
     order = np.argsort(roots)
     assert_allclose(np.asarray(roots)[order], [-3.0, 1.0, 2.0], atol=1e-6)
     assert list(np.asarray(mult)[order]) == [1, 2, 1]
-    with pytest.raises(DegreeZero):
+    # the analytical solver agrees on both degenerate inputs
+    with pytest.raises(AllCoefficientsZero):
         quartic_oracle([0.0, 0.0, 0.0, 0.0, 0.0])
-    with pytest.raises(DegreeZero):
-        quartic_oracle([0.0, 0.0, 0.0, 0.0, 5.0])
+    with pytest.raises(AllCoefficientsZero):
+        solve_quartic([0.0, 0.0, 0.0, 0.0, 0.0])
+    roots, mult = quartic_oracle([0.0, 0.0, 0.0, 0.0, 5.0])
+    assert len(roots) == 0 and len(mult) == 0
+    assert len(solve_quartic([0.0, 0.0, 0.0, 0.0, 5.0]).roots) == 0
 
 
 def test_numeric_ik_fixed_point(params):
