@@ -6,6 +6,7 @@ through integer status codes, not exceptions.
 """
 
 import math
+from math import cos, sin  # fk_chain's trig: a global lookup, no attribute lookup
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
@@ -37,6 +38,11 @@ REJ_POSE_MISMATCH = 10
 REJ_PSI_MISMATCH = 11
 REJ_DUPLICATE = 12
 REJ_QUARTIC_ZERO = 13
+
+# LEAF_REJ[code][leaf] is the rejection pair (leaf, code), built once: a
+# slot's four leaves are LEAF_REJ[code][4 * slot:4 * slot + 4]
+LEAF_REJ = tuple(tuple((leaf, code) for leaf in range(16))
+                 for code in range(REJ_QUARTIC_ZERO + 1))
 
 
 def wrap_angle(a):
@@ -111,38 +117,130 @@ def fk_chain(links, q):
     its translation, and the origins of frames 2/4/6 (after the odd steps).
     Each step multiplies by mdh_link(alpha, a, d, theta_offset + q_i) with
     every term of the affine product, in order (the `* 0.0` terms fix the
-    signs of zeros).
+    signs of zeros). The six steps are written out: a loop over them costs
+    a measurable share of the verification of a branch.
     """
-    ca, sa, nsa, a, nsd, cad, off = links[0]
-    th = off + q[0]
-    ct, st = math.cos(th), math.sin(th)
+    q0, q1, q2, q3, q4, q5, q6 = q
+    L0, L1, L2, L3, L4, L5, L6 = links
+    ca, sa, nsa, a, nsd, cad, off = L0
+    th = off + q0
+    ct, st = cos(th), sin(th)
     t00, t01, t02, tx = ct, -st, 0.0, a
     t10, t11, t12, ty = ca * st, ca * ct, nsa, nsd
     t20, t21, t22, tz = sa * st, sa * ct, ca, cad
-    pts = []
-    for i in range(1, 7):
-        ca, sa, nsa, a, by, bz, off = links[i]
-        th = off + q[i]
-        ct, st = math.cos(th), math.sin(th)
-        nst = -st
-        b10, b11 = ca * st, ca * ct
-        b20, b21 = sa * st, sa * ct
-        tx = t00 * a + t01 * by + t02 * bz + tx
-        ty = t10 * a + t11 * by + t12 * bz + ty
-        tz = t20 * a + t21 * by + t22 * bz + tz
-        t00, t01, t02 = (t00 * ct + t01 * b10 + t02 * b20,
-                         t00 * nst + t01 * b11 + t02 * b21,
-                         t00 * 0.0 + t01 * nsa + t02 * ca)
-        t10, t11, t12 = (t10 * ct + t11 * b10 + t12 * b20,
-                         t10 * nst + t11 * b11 + t12 * b21,
-                         t10 * 0.0 + t11 * nsa + t12 * ca)
-        t20, t21, t22 = (t20 * ct + t21 * b10 + t22 * b20,
-                         t20 * nst + t21 * b11 + t22 * b21,
-                         t20 * 0.0 + t21 * nsa + t22 * ca)
-        if i & 1:
-            pts.append((tx, ty, tz))
+    ca, sa, nsa, a, by, bz, off = L1
+    th = off + q1
+    ct, st = cos(th), sin(th)
+    nst = -st
+    b10, b11 = ca * st, ca * ct
+    b20, b21 = sa * st, sa * ct
+    tx = t00 * a + t01 * by + t02 * bz + tx
+    ty = t10 * a + t11 * by + t12 * bz + ty
+    tz = t20 * a + t21 * by + t22 * bz + tz
+    t00, t01, t02 = (t00 * ct + t01 * b10 + t02 * b20,
+                     t00 * nst + t01 * b11 + t02 * b21,
+                     t00 * 0.0 + t01 * nsa + t02 * ca)
+    t10, t11, t12 = (t10 * ct + t11 * b10 + t12 * b20,
+                     t10 * nst + t11 * b11 + t12 * b21,
+                     t10 * 0.0 + t11 * nsa + t12 * ca)
+    t20, t21, t22 = (t20 * ct + t21 * b10 + t22 * b20,
+                     t20 * nst + t21 * b11 + t22 * b21,
+                     t20 * 0.0 + t21 * nsa + t22 * ca)
+    S = (tx, ty, tz)
+    ca, sa, nsa, a, by, bz, off = L2
+    th = off + q2
+    ct, st = cos(th), sin(th)
+    nst = -st
+    b10, b11 = ca * st, ca * ct
+    b20, b21 = sa * st, sa * ct
+    tx = t00 * a + t01 * by + t02 * bz + tx
+    ty = t10 * a + t11 * by + t12 * bz + ty
+    tz = t20 * a + t21 * by + t22 * bz + tz
+    t00, t01, t02 = (t00 * ct + t01 * b10 + t02 * b20,
+                     t00 * nst + t01 * b11 + t02 * b21,
+                     t00 * 0.0 + t01 * nsa + t02 * ca)
+    t10, t11, t12 = (t10 * ct + t11 * b10 + t12 * b20,
+                     t10 * nst + t11 * b11 + t12 * b21,
+                     t10 * 0.0 + t11 * nsa + t12 * ca)
+    t20, t21, t22 = (t20 * ct + t21 * b10 + t22 * b20,
+                     t20 * nst + t21 * b11 + t22 * b21,
+                     t20 * 0.0 + t21 * nsa + t22 * ca)
+    ca, sa, nsa, a, by, bz, off = L3
+    th = off + q3
+    ct, st = cos(th), sin(th)
+    nst = -st
+    b10, b11 = ca * st, ca * ct
+    b20, b21 = sa * st, sa * ct
+    tx = t00 * a + t01 * by + t02 * bz + tx
+    ty = t10 * a + t11 * by + t12 * bz + ty
+    tz = t20 * a + t21 * by + t22 * bz + tz
+    t00, t01, t02 = (t00 * ct + t01 * b10 + t02 * b20,
+                     t00 * nst + t01 * b11 + t02 * b21,
+                     t00 * 0.0 + t01 * nsa + t02 * ca)
+    t10, t11, t12 = (t10 * ct + t11 * b10 + t12 * b20,
+                     t10 * nst + t11 * b11 + t12 * b21,
+                     t10 * 0.0 + t11 * nsa + t12 * ca)
+    t20, t21, t22 = (t20 * ct + t21 * b10 + t22 * b20,
+                     t20 * nst + t21 * b11 + t22 * b21,
+                     t20 * 0.0 + t21 * nsa + t22 * ca)
+    E = (tx, ty, tz)
+    ca, sa, nsa, a, by, bz, off = L4
+    th = off + q4
+    ct, st = cos(th), sin(th)
+    nst = -st
+    b10, b11 = ca * st, ca * ct
+    b20, b21 = sa * st, sa * ct
+    tx = t00 * a + t01 * by + t02 * bz + tx
+    ty = t10 * a + t11 * by + t12 * bz + ty
+    tz = t20 * a + t21 * by + t22 * bz + tz
+    t00, t01, t02 = (t00 * ct + t01 * b10 + t02 * b20,
+                     t00 * nst + t01 * b11 + t02 * b21,
+                     t00 * 0.0 + t01 * nsa + t02 * ca)
+    t10, t11, t12 = (t10 * ct + t11 * b10 + t12 * b20,
+                     t10 * nst + t11 * b11 + t12 * b21,
+                     t10 * 0.0 + t11 * nsa + t12 * ca)
+    t20, t21, t22 = (t20 * ct + t21 * b10 + t22 * b20,
+                     t20 * nst + t21 * b11 + t22 * b21,
+                     t20 * 0.0 + t21 * nsa + t22 * ca)
+    ca, sa, nsa, a, by, bz, off = L5
+    th = off + q5
+    ct, st = cos(th), sin(th)
+    nst = -st
+    b10, b11 = ca * st, ca * ct
+    b20, b21 = sa * st, sa * ct
+    tx = t00 * a + t01 * by + t02 * bz + tx
+    ty = t10 * a + t11 * by + t12 * bz + ty
+    tz = t20 * a + t21 * by + t22 * bz + tz
+    t00, t01, t02 = (t00 * ct + t01 * b10 + t02 * b20,
+                     t00 * nst + t01 * b11 + t02 * b21,
+                     t00 * 0.0 + t01 * nsa + t02 * ca)
+    t10, t11, t12 = (t10 * ct + t11 * b10 + t12 * b20,
+                     t10 * nst + t11 * b11 + t12 * b21,
+                     t10 * 0.0 + t11 * nsa + t12 * ca)
+    t20, t21, t22 = (t20 * ct + t21 * b10 + t22 * b20,
+                     t20 * nst + t21 * b11 + t22 * b21,
+                     t20 * 0.0 + t21 * nsa + t22 * ca)
+    W = (tx, ty, tz)
+    ca, sa, nsa, a, by, bz, off = L6
+    th = off + q6
+    ct, st = cos(th), sin(th)
+    nst = -st
+    b10, b11 = ca * st, ca * ct
+    b20, b21 = sa * st, sa * ct
+    tx = t00 * a + t01 * by + t02 * bz + tx
+    ty = t10 * a + t11 * by + t12 * bz + ty
+    tz = t20 * a + t21 * by + t22 * bz + tz
+    t00, t01, t02 = (t00 * ct + t01 * b10 + t02 * b20,
+                     t00 * nst + t01 * b11 + t02 * b21,
+                     t00 * 0.0 + t01 * nsa + t02 * ca)
+    t10, t11, t12 = (t10 * ct + t11 * b10 + t12 * b20,
+                     t10 * nst + t11 * b11 + t12 * b21,
+                     t10 * 0.0 + t11 * nsa + t12 * ca)
+    t20, t21, t22 = (t20 * ct + t21 * b10 + t22 * b20,
+                     t20 * nst + t21 * b11 + t22 * b21,
+                     t20 * 0.0 + t21 * nsa + t22 * ca)
     return ((t00, t01, t02, t10, t11, t12, t20, t21, t22), (tx, ty, tz),
-            pts[0], pts[1], pts[2])
+            S, E, W)
 
 
 def rot_geodesic(Ra, Rb):
@@ -600,8 +698,7 @@ def ik_solve_core(links, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
         g4, g3, g2, g1, g0, degree_tol, root_merge_tol, complex_accept,
         roots, mults)
     if qstatus != OK:
-        for leaf in range(16):
-            rej.append((leaf, REJ_QUARTIC_ZERO))
+        rej.extend(LEAF_REJ[REJ_QUARTIC_ZERO])
         return acc, rej
 
     # expand multiplicities into the 4 root slots; a slot born from a double
@@ -614,8 +711,7 @@ def ik_solve_core(links, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
                 slot_t6.append(roots[i])
                 slot_dup.append(mcopy)
     n_slot = len(slot_t6)
-    for leaf in range(n_slot * 4, 16):
-        rej.append((leaf, REJ_COMPLEX_ROOT))
+    rej.extend(LEAF_REJ[REJ_COMPLEX_ROOT][n_slot * 4:])
     if n_slot == 0:
         return acc, rej
 
@@ -632,11 +728,11 @@ def ik_solve_core(links, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
     prev_sign = 1.0
 
     for slot in range(n_slot):
+        lo = 4 * slot
         t6 = slot_t6[slot]
         u6 = (t6 - a_wr) / d_ew
         if abs(u6) > 1.0 + sin_domain_tol:
-            for leaf4 in range(4):
-                rej.append((slot * 4 + leaf4, REJ_COS_DOMAIN))
+            rej.extend(LEAF_REJ[REJ_COS_DOMAIN][lo:lo + 4])
             continue
         if u6 > 1.0:
             u6 = 1.0
@@ -666,12 +762,10 @@ def ik_solve_core(links, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
                 res6 = res_m
                 sc6 = sc_m
             if abs(res6) > branch_residual_tol * sc6 or r6_mag == 0.0:
-                for leaf4 in range(4):
-                    rej.append((slot * 4 + leaf4, REJ_DUPLICATE))
+                rej.extend(LEAF_REJ[REJ_DUPLICATE][lo:lo + 4])
                 continue
         if abs(res6) > branch_residual_tol * sc6:
-            for leaf4 in range(4):
-                rej.append((slot * 4 + leaf4, REJ_EQ_RESIDUAL))
+            rej.extend(LEAF_REJ[REJ_EQ_RESIDUAL][lo:lo + 4])
             continue
         r6 = sgn6 * r6_mag
         q6 = math.atan2(r6, t6 - a_wr)
@@ -681,14 +775,12 @@ def ik_solve_core(links, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
         # parallel test of reduce_pose_core
         den = d_sc * sq * t6
         if abs(t6) < tol_len or den == 0.0:
-            for leaf4 in range(4):
-                rej.append((slot * 4 + leaf4, REJ_Q8_DEGENERATE))
+            rej.extend(LEAF_REJ[REJ_Q8_DEGENERATE][lo:lo + 4])
             continue
         xv = a_wr * t6 - k - d_sc * r6 * cq
         cq8 = -xv / den
         if abs(cq8) > 1.0 + sin_domain_tol:
-            for leaf4 in range(4):
-                rej.append((slot * 4 + leaf4, REJ_COS_DOMAIN))
+            rej.extend(LEAF_REJ[REJ_COS_DOMAIN][lo:lo + 4])
             continue
         if cq8 > 1.0:
             cq8 = 1.0
@@ -705,8 +797,7 @@ def ik_solve_core(links, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
                 best_res = rr
                 s8 = cand
         if best_res > 1.0e-2:
-            for leaf4 in range(4):
-                rej.append((slot * 4 + leaf4, REJ_ARM_EQ_MISMATCH))
+            rej.extend(LEAF_REJ[REJ_ARM_EQ_MISMATCH][lo:lo + 4])
             continue
         q8 = math.atan2(s8 * sq8_mag, cq8)
 
@@ -750,8 +841,7 @@ def ik_solve_core(links, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
         n2 = s6x * s6x + s6y * s6y + s6z * s6z
         carg = (n2 - d_ew * d_ew - d_se * d_se) / (2.0 * d_se * d_ew)
         if abs(carg) > 1.0 + sin_domain_tol:
-            for leaf4 in range(4):
-                rej.append((slot * 4 + leaf4, REJ_UNREACHABLE))
+            rej.extend(LEAF_REJ[REJ_UNREACHABLE][lo:lo + 4])
             continue
         if carg > 1.0:
             carg = 1.0
@@ -770,15 +860,13 @@ def ik_solve_core(links, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
         u6 = wrap_angle(q6 - delta[5])
         u7 = wrap_angle(q7 - delta[6])
         for s4i in (1, -1):
-            base = slot * 4 + (0 if s4i > 0 else 2)
+            base = lo + (0 if s4i > 0 else 2)
             q4 = s4i * q4a
             if abs(a1) < 1e-10 and abs(a2) < 1e-10:
-                for leaf2 in range(2):
-                    rej.append((base + leaf2, REJ_ELBOW_DEGENERATE))
+                rej.extend(LEAF_REJ[REJ_ELBOW_DEGENERATE][base:base + 2])
                 continue
             if abs(cons) > 1e-6:
-                for leaf2 in range(2):
-                    rej.append((base + leaf2, REJ_CONSISTENCY))
+                rej.extend(LEAF_REJ[REJ_CONSISTENCY][base:base + 2])
                 continue
             q5 = math.atan2(s4i * a1, s4i * a2)
             u4 = wrap_angle(q4 - delta[3])
@@ -792,8 +880,7 @@ def ik_solve_core(links, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
             r32 = R03[7]
             r33 = R03[8]
             if abs(r33) >= 1.0 - 1e-10:
-                for leaf2 in range(2):
-                    rej.append((base + leaf2, REJ_WRIST_DEGENERATE))
+                rej.extend(LEAF_REJ[REJ_WRIST_DEGENERATE][base:base + 2])
                 continue
             ac2 = math.acos(max(-1.0, min(1.0, r33)))
             for s2i in (1, -1):

@@ -22,7 +22,7 @@ from .errors import (
     InvalidInput,
     ZeroSC,
 )
-from .robot import Transform, _joints_array
+from .robot import Transform, _as_vec, _joints_array
 from ._kernels import active as _K
 from ._kernels_impl import (
     ERR_AXIS_PARALLEL,
@@ -50,11 +50,14 @@ def arm_angle(params, joints):
 
 
 def arm_angle_points(shoulder, elbow, axis7_center, tool_z):
-    """Arm angle from the raw geometric inputs."""
-    S = np.asarray(shoulder, dtype=float).reshape(3)
-    E = np.asarray(elbow, dtype=float).reshape(3)
-    C = np.asarray(axis7_center, dtype=float).reshape(3)
-    z = np.asarray(tool_z, dtype=float).reshape(3)
+    """Arm angle from the raw geometric inputs.
+
+    Raises InvalidInput unless each input is 3 finite numbers.
+    """
+    S = _as_vec(shoulder, 3, "shoulder")
+    E = _as_vec(elbow, 3, "elbow")
+    C = _as_vec(axis7_center, 3, "axis7_center")
+    z = _as_vec(tool_z, 3, "tool_z")
     nz = np.linalg.norm(z)
     if nz < TOL_LEN:
         raise InvalidInput("tool z direction has zero length")

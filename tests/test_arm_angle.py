@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from armik import (
     AxisParallel,
     DegenerateArm,
+    InvalidInput,
     ZeroSC,
     arm_angle,
     arm_angle_points,
@@ -107,6 +108,26 @@ def test_arm_angle_point_degeneracies():
     on_line = S + 0.6 * (C - S)
     with pytest.raises(DegenerateArm):
         arm_angle_points(S, on_line, C, np.array([1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "at, bad",
+    [
+        (3, [math.nan, 0.0, 1.0]),
+        (3, [math.inf, 0.0, 1.0]),
+        (0, [0.0, math.nan, 0.3]),
+        (1, [0.3, -math.inf, 0.5]),
+        (0, [0.0, 0.3]),
+        (2, "abc"),
+    ],
+    ids=["nan_tool_z", "inf_tool_z", "nan_shoulder", "inf_elbow", "short_shoulder", "text"],
+)
+def test_arm_angle_points_rejects_hostile_input(at, bad):
+    points = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
+    assert math.isfinite(arm_angle_points(*points))
+    points[at] = bad
+    with pytest.raises(InvalidInput):
+        arm_angle_points(*points)
 
 
 def test_reduce_pose_fixed_point(params):

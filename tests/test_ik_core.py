@@ -299,6 +299,66 @@ def test_special_pose_unreachable(params):
         assert rej.category in ("complex_root", "domain")
 
 
+def test_u6_cos_domain_site_is_reached_through_solve(params):
+    # on the y = 0 family (q = -pi/2) the quartic is a perfect square; here
+    # its double root t6 puts (t6 - a_wr) / d_ew below -1, so both of its
+    # slots fail the first domain test of the kernel
+    pose = special_pose(params, 0.7700057663165816, -math.pi / 2, 1.9845664104768632)
+    psi = -3.1243861495570098
+    rp = reduce_pose(params, pose)
+    g = _quartic_setup(rp.d_sc, rp.q, psi, params)[5:]
+    tol = DEFAULT_TOLERANCES
+    roots, mults = [0.0] * 4, [0] * 4
+    K.solve_quartic_core(*g, tol.degree_tol, tol.root_merge_tol, tol.complex_accept,
+                         roots, mults)
+    assert mults[0] == 2
+    assert (roots[0] - params.a_wr) / params.d_ew < -1.05
+    res = solve(IkRequest(pose=pose, psi=psi, params=params))
+    domain = sorted(r.leaf for r in res.rejected if r.reason == "cos_domain")
+    assert domain == list(range(8))
+    assert len(res.branches) + len(res.rejected) == 16
+
+
+def test_kernel_calls_the_helpers_perfbench_traces(params, monkeypatch):
+    # perfbench times fk_chain, rot_geodesic, arm_dihedral and
+    # solve_quartic_core by wrapping them on the kernel module, whose globals
+    # ik_solve_core reads; inlining one of these calls would hide its layer
+    rng = np.random.default_rng(15)
+    reach = params.d_se + params.d_ew + params.a_wr
+    requests = [IkRequest(pose=special_pose(params, reach + 0.05, -1.3, 0.2), psi=0.4,
+                          params=params)]
+    for _ in range(4):
+        q0 = sample_far_joints(rng, params)
+        requests.append(IkRequest(pose=forward_kinematics(params, q0),
+                                  psi=arm_angle(params, q0), params=params))
+    # the first request's quartic has no real root
+    assert [r.reason for r in solve(requests[0]).rejected] == ["complex_root"] * 16
+    calls = dict.fromkeys(("fk_chain", "rot_geodesic", "arm_dihedral", "solve_quartic_core"), 0)
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(K, name, counting(name, getattr(K, name)))
+    verified = 0
+    for req in requests:
+        calls.update(dict.fromkeys(calls, 0))
+        res = solve(req)
+        reasons = [r.reason for r in res.rejected]
+        # a duplicate slot is rejected before verification, a duplicate leaf
+        # after it; these requests have neither
+        assert "duplicate" not in reasons
+        past_pose = len(res.branches) + reasons.count("psi_mismatch")
+        reached = past_pose + reasons.count("pose_mismatch")
+        assert calls == {"fk_chain": reached, "rot_geodesic": reached,
+                         "arm_dihedral": past_pose, "solve_quartic_core": 1}
+        verified += reached
+    assert verified >= 16
+
+
 def test_solve_recovers_generating_joints(params):
     rng = np.random.default_rng(60)
     for _ in range(40):
