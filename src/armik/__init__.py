@@ -48,23 +48,31 @@ from .ik_core import (
     leaf_label,
     solve,
 )
-from .singularity import (
-    SingularityReport,
-    classify,
-    family_distance,
-    numeric_jacobian,
-)
-from .verify import (
-    CheckResult,
-    check_all,
-    fk_oracle,
-    fk_oracle_batch,
-    numeric_ik,
-    quartic_oracle,
-)
 from ._kernels import BACKEND
 
 __version__ = "0.1.0"
+
+# numpy-based modules and their names, imported on first access (PEP 562)
+_LAZY = {
+    **dict.fromkeys(("singularity", "SingularityReport", "classify", "family_distance",
+                     "numeric_jacobian"), "singularity"),
+    **dict.fromkeys(("verify", "CheckResult", "check_all", "fk_oracle", "fk_oracle_batch",
+                     "numeric_ik", "quartic_oracle"), "verify"),
+}
+
+
+def __getattr__(name):
+    from importlib import import_module
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module("." + _LAZY[name], __name__)
+    value = globals()[name] = module if name == _LAZY[name] else getattr(module, name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
+
 
 __all__ = [
     "leaf_label",

@@ -14,15 +14,13 @@ rotation carries solutions back.
 from dataclasses import dataclass
 import math
 
-import numpy as np
-
 from .errors import (
     AxisParallel,
     DegenerateArm,
     InvalidInput,
     ZeroSC,
 )
-from .robot import Transform, _as_vec, _joints_array
+from .robot import Transform, _joint_floats, _vec
 from ._kernels import active as _K
 from ._kernels_impl import (
     ERR_AXIS_PARALLEL,
@@ -33,6 +31,8 @@ from ._kernels_impl import (
 
 TOL_PARALLEL = 1e-8
 TOL_LEN = 1e-9
+# arm_angle_points rescales points beyond this: their squares may overflow
+_SQUARES_SAFE = 1e150
 
 
 def arm_angle(params, joints):
@@ -42,7 +42,7 @@ def arm_angle(params, joints):
     tool z-axis is parallel to SC, DegenerateArm when the elbow lies on
     the SC line.
     """
-    q = _joints_array(joints).tolist()
+    q = _joint_floats(joints)
     psi, status = _K.arm_angle_core(params._links, q, TOL_LEN, TOL_PARALLEL)
     if status == OK:
         return psi
@@ -52,16 +52,19 @@ def arm_angle(params, joints):
 def arm_angle_points(shoulder, elbow, axis7_center, tool_z):
     """Arm angle from the raw geometric inputs.
 
-    Raises InvalidInput unless each input is 3 finite numbers.
+    Raises InvalidInput unless each input is 3 finite numbers. Huge points are
+    scaled by a power of two first, and TOL_LEN applies to the scaled points.
     """
-    S = _as_vec(shoulder, 3, "shoulder")
-    E = _as_vec(elbow, 3, "elbow")
-    C = _as_vec(axis7_center, 3, "axis7_center")
-    z = _as_vec(tool_z, 3, "tool_z")
-    nz = np.linalg.norm(z)
+    S = _vec(shoulder, 3, "shoulder")
+    E = _vec(elbow, 3, "elbow")
+    C = _vec(axis7_center, 3, "axis7_center")
+    z = _vec(tool_z, 3, "tool_z")
+    nz = math.hypot(*z)
     if nz < TOL_LEN:
         raise InvalidInput("tool z direction has zero length")
-    psi, status = _K.arm_dihedral(S, E, C, z / nz, TOL_LEN, TOL_PARALLEL)
+    if (m := max(map(abs, S + E + C))) > _SQUARES_SAFE:
+        S, E, C = ([math.ldexp(v, -math.frexp(m)[1]) for v in P] for P in (S, E, C))
+    psi, status = _K.arm_dihedral(S, E, C, [v / nz for v in z], TOL_LEN, TOL_PARALLEL)
     if status == OK:
         return float(psi)
     _raise_arm_status(status)
@@ -118,6 +121,7 @@ def reduce_pose(params, pose, tol_len=TOL_LEN, tol_parallel=TOL_PARALLEL):
 def special_pose(params, d_sc, q, al):
     """Tool pose whose aligned standard form is (d_sc, q, al) with identity
     alignment: C on the base z-axis at height d_bs + d_sc."""
+    import numpy as np
     cq, sq = math.cos(q), math.sin(q)
     ca, sa = math.cos(al), math.sin(al)
     Ry = np.array([[cq, 0.0, sq], [0.0, 1.0, 0.0], [-sq, 0.0, cq]])

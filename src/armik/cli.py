@@ -12,13 +12,11 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .errors import ArmikError, InvalidInput, InvalidRotation
 from .robot import (
     JointConfig,
-    RobotParams,
     Transform,
+    _read_floats,
     default_params,
     forward_kinematics,
     frame_points,
@@ -26,13 +24,13 @@ from .robot import (
 )
 from .arm_angle import arm_angle
 from .ik_core import IkRequest, SolutionSet, solve
-from .singularity import classify
-from .verify import _quat_to_mat, check_all
 
 # tags that indicate malformed input rather than a degenerate-but-valid request
 _PARSE_TAGS = ("invalid_params", "invalid_rotation", "invalid_input")
 # most arm-angle grid points one sweep may ask for
 SWEEP_MAX_COUNT = 10000
+# largest deviation of a quaternion's norm from 1 that `ik` accepts
+QUAT_NORM_TOL = 1e-9
 
 
 # encoded rejection entries, keyed by (label, reason, category); labels and
@@ -55,20 +53,23 @@ def _fmt(obj):
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (np.floating, float)):
+    if isinstance(obj, float):
         return "%.17g" % float(obj)
-    if isinstance(obj, (np.integer, int)):
+    if isinstance(obj, int):
         return str(int(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, np.ndarray):
-        return _fmt(obj.tolist())
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_fmt(v) for v in obj) + "]"
     if isinstance(obj, dict):
         return "{" + ",".join(json.dumps(str(k)) + ":" + _fmt(v) for k, v in obj.items()) + "}"
     if isinstance(obj, SolutionSet):
         return _fmt_solution_set(obj)
+    np = sys.modules.get("numpy")  # numpy values exist only once numpy is imported
+    if np is not None and isinstance(obj, np.ndarray):
+        return _fmt(obj.tolist())
+    if np is not None and isinstance(obj, (np.floating, np.integer)):
+        return _fmt(float(obj) if isinstance(obj, np.floating) else int(obj))
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -76,7 +77,7 @@ def _fmt_solution_set(res):
     branches = [
         _BRANCH_JSON
         % (
-            b.label, *b.joints.q.tolist(), b.root_index, b.q4_sign, b.q2_sign,
+            b.label, *b.joints._q, b.root_index, b.q4_sign, b.q2_sign,
             b.t6, b.r6, b.q8, b.pose_error, b.arm_eq_residual, b.pose_eq_residual,
         )
         for b in res.branches
@@ -104,35 +105,35 @@ def _exit_code(tag):
 
 
 def _parse_rotation(val):
+    # the rotation's rows, for Transform to validate
     try:
-        arr = np.asarray(val, dtype=float)
+        shape, r = _read_floats(val)
     except (TypeError, ValueError, OverflowError):
         raise InvalidRotation("rotation entries must be numbers") from None
-    if arr.shape == (3, 3):
-        R = arr
-    elif arr.shape == (9,):
-        R = arr.reshape(3, 3)
-    elif arr.shape == (4,):
-        n = float(np.linalg.norm(arr))
-        if abs(n - 1.0) > 1e-9:
-            raise InvalidRotation(f"quaternion norm {n:.12f} is not 1")
-        R = _quat_to_mat(arr / n)
-    else:
+    if shape == (3, 3) or shape == (9,):
+        return r[0:3], r[3:6], r[6:9]
+    if shape != (4,):
         raise InvalidRotation(
             "rotation must be a 3x3 matrix, a flat list of 9, or a quaternion [w,x,y,z]"
         )
-    # Transform validates the rotation
-    return R
+    # numpy on this branch only: the bits of np.linalg.norm's fused dot product
+    import numpy as np
+    from .verify import _quat_to_mat
+    q = np.array(r)
+    n = float(np.linalg.norm(q))
+    if abs(n - 1.0) > QUAT_NORM_TOL:
+        raise InvalidRotation(f"quaternion norm {n:.12f} is not 1")
+    return _quat_to_mat(q / n)
 
 
 def _parse_pose(item):
     if "position" not in item or "rotation" not in item:
         raise InvalidInput("pose needs 'position' and 'rotation' fields")
     try:
-        pos = np.asarray(item["position"], dtype=float).reshape(-1)
+        pos = _read_floats(item["position"])[1]
     except (TypeError, ValueError, OverflowError):
         raise InvalidInput("position must be a list of 3 numbers") from None
-    if pos.shape[0] != 3:
+    if len(pos) != 3:
         raise InvalidInput("position must have 3 components")
     return Transform(_parse_rotation(item["rotation"]), pos)
 
@@ -140,7 +141,7 @@ def _parse_pose(item):
 def _get_joints(item):
     if "joints" not in item:
         raise InvalidInput("input needs a 'joints' field with 7 values")
-    return JointConfig(item["joints"]).q
+    return JointConfig(item["joints"])
 
 
 def _float_field(item, key, default):
@@ -184,12 +185,13 @@ def _cmd_arm_angle(params, item):
 
 
 def _cmd_classify(params, item):
+    from .singularity import HIT_TOL, HIT_TOL_M, classify
     joints = _get_joints(item)
     rep = classify(
         joints,
         params,
-        hit_tol=_float_field(item, "hit_tol", 1e-6),
-        hit_tol_m=_float_field(item, "hit_tol_m", 1e-9),
+        hit_tol=_float_field(item, "hit_tol", HIT_TOL),
+        hit_tol_m=_float_field(item, "hit_tol_m", HIT_TOL_M),
         with_jacobian=bool(item.get("with_jacobian", False)),
     )
     return {
@@ -221,6 +223,7 @@ def _cmd_sweep(params, item):
         raise InvalidInput(f"sweep count must be between 1 and {SWEEP_MAX_COUNT}")
     if not math.isfinite(stop - start):
         raise InvalidInput("sweep 'start' and 'stop' must be finite, with a finite span")
+    import numpy as np
     grid = np.linspace(start, stop, count)
     results = []
     for psi in grid:
@@ -242,6 +245,7 @@ def _cmd_sweep(params, item):
 
 
 def _cmd_check(params, n, seed):
+    from .verify import check_all
     res = check_all(params, n=n, seed=seed)
     return (
         {"passed": res.passed, "max_error": res.max_error, "detail": res.detail},

@@ -21,8 +21,6 @@ output into branch and rejection records.
 from dataclasses import dataclass
 import math
 
-import numpy as np
-
 from .errors import InvalidInput
 from .robot import JointConfig, RobotParams, Transform
 from .arm_angle import TOL_LEN, TOL_PARALLEL, reduce_pose
@@ -147,6 +145,7 @@ class SolutionSet:
         return len(self.branches)
 
     def joints_array(self):
+        import numpy as np
         if not self.branches:
             return np.zeros((0, 7))
         return np.stack([b.joints.q for b in self.branches])
@@ -210,10 +209,10 @@ def _run_kernel(params, R07, p07, d_sc, q, al, psi, tol):
 
 
 def _verified_joints(qu):
-    # the kernel's joint tuples are finite and FK-verified, so this skips
-    # the caller-input validation of JointConfig.__init__
+    # the kernel's joint tuples are finite and FK-verified, so they become
+    # the floats of a JointConfig without the checks of its __post_init__
     jc = object.__new__(JointConfig)
-    jc.q = np.array(qu, dtype=float)
+    jc._q = qu
     return jc
 
 

@@ -9,8 +9,6 @@ safe.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import AllCoefficientsZero, InvalidInput
 from ._kernels import active as _K
 from ._kernels_impl import OK
@@ -24,8 +22,8 @@ COMPLEX_PAIR_TOL = 1e-7
 class RealRoots:
     """Ascending real roots with multiplicities."""
 
-    roots: np.ndarray
-    multiplicities: np.ndarray
+    roots: "np.ndarray"
+    multiplicities: "np.ndarray"
 
     def __len__(self):
         return len(self.roots)
@@ -47,6 +45,7 @@ def solve_quartic(
     multiplicity. Raises AllCoefficientsZero for the identically zero
     polynomial; a nonzero constant simply has no roots.
     """
+    import numpy as np
     c = np.asarray(coeffs, dtype=float).reshape(-1)
     if c.shape[0] != 5:
         raise InvalidInput(f"expected 5 coefficients, got {c.shape[0]}")

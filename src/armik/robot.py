@@ -8,15 +8,17 @@ The kinematic chain is described by modified Denavit-Hartenberg rows
 applied left to right from the base. Joint values q are the user-facing
 coordinates; theta_offset absorbs any constant rotation between the
 user zero and the solver's internal zero.
+
+Input is validated and kept as floats, which the kernels take; the public
+numpy arrays are built when first read, so a solve imports no numpy.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass
 import functools
 import json
 import math
 import importlib.resources
-
-import numpy as np
+import sys
 
 from .errors import InvalidInput, InvalidParams, InvalidRotation
 from ._kernels import active as _K
@@ -26,32 +28,66 @@ ROT_TOL = 1e-9
 
 # canonical chain structure: alpha and a columns are fixed by the geometry,
 # d column carries the three link lengths, row 7 carries the wrist offset
-_CANON_ALPHA = np.array(
-    [0.0, -math.pi / 2, math.pi / 2, -math.pi / 2, math.pi / 2, -math.pi / 2, math.pi / 2]
-)
+_CANON_ALPHA = (0.0,) + (-math.pi / 2, math.pi / 2) * 3
 
 
-def _as_vec(x, n, name):
+def _read_floats(x, depth=0):
+    """Shape and row-major floats of x as np.asarray(x, dtype=float) reads it,
+    raising TypeError, ValueError or OverflowError where numpy does: lists and
+    tuples nest, rectangular and at most 64 deep; None is nan; numbers,
+    strings and bytes go through float(); anything else through numpy."""
+    t = type(x)
+    np = sys.modules.get("numpy")
+    if np is not None and t is np.ndarray and x.dtype.char == "d":
+        return x.shape, x.ravel().tolist()
+    if t is list or t is tuple:
+        if depth == 64:
+            raise ValueError("more than 64 nesting levels")
+        shape = None
+        flat = []
+        for v in x:
+            if type(v) is float:
+                s = ()
+                flat.append(v)
+            else:
+                s, f = _read_floats(v, depth + 1)
+                flat += f
+            if s != shape:
+                if shape is not None:
+                    raise ValueError("nested sequences of unequal shapes")
+                shape = s
+        return (len(x),) + (shape or ()), flat
+    if np is None or not isinstance(x, np.ndarray):
+        if x is None or isinstance(x, (float, int, str, bytes, dict)):
+            # float() raises on a dict, as numpy does
+            return (), [math.nan if x is None else float(x)]
+        import numpy as np
+    a = np.asarray(x, dtype=float)
+    return a.shape, a.ravel().tolist()
+
+
+def _vec(x, n, name):
+    """x as a list of n finite floats (nested in any shape), or InvalidInput."""
     try:
-        v = np.asarray(x, dtype=float).reshape(-1)
+        v = _read_floats(x)[1]
     except (TypeError, ValueError, OverflowError):
         raise InvalidInput(f"{name} must be a list of {n} numbers") from None
-    if v.shape[0] != n:
-        raise InvalidInput(f"{name} must have {n} elements, got {v.shape[0]}")
-    if not all(map(math.isfinite, v.tolist())):
+    if len(v) != n:
+        raise InvalidInput(f"{name} must have {n} elements, got {len(v)}")
+    if not all(map(math.isfinite, v)):
         raise InvalidInput(f"{name} contains non-finite values")
     return v
 
 
-def check_rotation(R, tol=ROT_TOL):
-    """Validate that R is a proper rotation within tol. Returns R as float64."""
+def check_rotation(R, tol=ROT_TOL, floats=False):
+    """Validate that R is a proper rotation within tol. Returns a (3,3) array."""
     try:
-        R = np.asarray(R, dtype=float)
+        shape, flat = _read_floats(R)
     except (TypeError, ValueError, OverflowError):
         raise InvalidRotation("rotation entries must be numbers") from None
-    if R.shape != (3, 3):
-        raise InvalidRotation(f"rotation must be 3x3, got {R.shape}")
-    a, b, c, d, e, f, g, h, i = flat = R.ravel().tolist()
+    if shape != (3, 3):
+        raise InvalidRotation(f"rotation must be 3x3, got {shape}")
+    a, b, c, d, e, f, g, h, i = flat
     if not all(map(math.isfinite, flat)):
         raise InvalidRotation("rotation contains non-finite values")
     err = max(abs(a * a + b * b + c * c - 1.0), abs(d * d + e * e + f * f - 1.0),
@@ -62,7 +98,15 @@ def check_rotation(R, tol=ROT_TOL):
     det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     if abs(det - 1.0) > tol:
         raise InvalidRotation(f"rotation determinant is {det:.12f}, expected +1")
-    return R
+    # with floats=True: the row-major 9-tuple that Transform keeps
+    return tuple(flat) if floats else _array(flat, True, (3, 3))
+
+
+def _array(floats, writeable=True, shape=None):
+    import numpy as np
+    a = np.array(floats) if shape is None else np.array(floats).reshape(shape)
+    a.setflags(write=writeable)
+    return a
 
 
 class Transform:
@@ -78,8 +122,8 @@ class Transform:
     __slots__ = ("_rot", "_pos", "_arrays")
 
     def __init__(self, rotation, translation):
-        self._rot = tuple(check_rotation(rotation).ravel().tolist())
-        self._pos = tuple(_as_vec(translation, 3, "translation").tolist())
+        self._rot = check_rotation(rotation, floats=True)
+        self._pos = tuple(_vec(translation, 3, "translation"))
         self._arrays = None
 
     @classmethod
@@ -95,11 +139,7 @@ class Transform:
 
     def _built(self):
         if self._arrays is None:
-            R = np.array(self._rot).reshape(3, 3)
-            p = np.array(self._pos)
-            R.setflags(write=False)
-            p.setflags(write=False)
-            self._arrays = (R, p)
+            self._arrays = (_array(self._rot, False, (3, 3)), _array(self._pos, False))
         return self._arrays
 
     @property
@@ -115,24 +155,22 @@ class Transform:
 
     @classmethod
     def identity(cls):
-        return cls(np.eye(3), np.zeros(3))
+        return cls(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), (0.0, 0.0, 0.0))
 
     @classmethod
     def from_matrix(cls, T):
         try:
-            T = np.asarray(T, dtype=float)
+            shape, m = _read_floats(T)
         except (TypeError, ValueError, OverflowError):
             raise InvalidInput("homogeneous matrix entries must be numbers") from None
-        if T.shape != (4, 4):
-            raise InvalidInput(f"homogeneous matrix must be 4x4, got {T.shape}")
-        return cls(T[:3, :3], T[:3, 3])
+        if shape != (4, 4):
+            raise InvalidInput(f"homogeneous matrix must be 4x4, got {shape}")
+        return cls((m[0:3], m[4:7], m[8:11]), m[3:12:4])
 
     @property
     def matrix(self):
-        T = np.eye(4)
-        T[:3, :3] = self.rotation
-        T[:3, 3] = self.translation
-        return T
+        (a, b, c, d, e, f, g, h, i), (x, y, z) = self._rot, self._pos
+        return _array((a, b, c, x, d, e, f, y, g, h, i, z, 0.0, 0.0, 0.0, 1.0), True, (4, 4))
 
     def compose(self, other):
         return Transform(
@@ -145,21 +183,37 @@ class Transform:
         return Transform(Rt, -Rt @ self.translation)
 
     def apply(self, point):
-        p = _as_vec(point, 3, "point")
-        return self.rotation @ p + self.translation
+        return self.rotation @ _vec(point, 3, "point") + self.translation
+
+
+class _ArrayOnRead:
+    """A dataclass field that __post_init__ keeps as floats under "_" + its
+    name, read as a float64 array built once, then a plain attribute."""
+
+    def __init__(self, writeable, default=MISSING):
+        self.writeable, self.default = writeable, default
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:  # on the class: the field's default, MISSING if none
+            return self.default
+        value = obj.__dict__[self.name] = _array(obj.__dict__["_" + self.name], self.writeable)
+        return value
 
 
 @dataclass
 class JointConfig:
-    """Seven joint values in radians."""
+    """Seven joint values in radians; q is built from the floats _q when read."""
 
-    q: np.ndarray
+    q: "np.ndarray" = _ArrayOnRead(True)
 
     def __post_init__(self):
-        self.q = np.array(_as_vec(self.q, 7, "joints"))
+        self._q = _vec(self.__dict__.pop("q"), 7, "joints")
 
     def wrapped(self):
-        return JointConfig(np.array([_K.wrap_angle(v) for v in self.q]))
+        return JointConfig([_K.wrap_angle(v) for v in _joint_floats(self)])
 
     def __iter__(self):
         return iter(self.q)
@@ -176,10 +230,10 @@ class FramePoints:
     wrist: intersection of axes 5-6, axis7: a point on joint axis 7.
     """
 
-    shoulder: np.ndarray
-    elbow: np.ndarray
-    wrist: np.ndarray
-    axis7: np.ndarray
+    shoulder: "np.ndarray"
+    elbow: "np.ndarray"
+    wrist: "np.ndarray"
+    axis7: "np.ndarray"
 
 
 @dataclass(frozen=True)
@@ -188,15 +242,15 @@ class RobotParams:
 
     d_bs: base to shoulder, d_se: shoulder to elbow, d_ew: elbow to wrist,
     a_wr: perpendicular offset between joint axes 6 and 7. All in meters.
-    mdh: (7,4) table of (alpha, a, d, theta_offset) rows, held as a
-    read-only copy.
+    mdh: (7,4) table of (alpha, a, d, theta_offset) rows, a read-only array
+    built from the floats _mdh when first read.
     """
 
     d_bs: float
     d_se: float
     d_ew: float
     a_wr: float
-    mdh: np.ndarray = field(default=None)
+    mdh: "np.ndarray" = _ArrayOnRead(False, None)
 
     def __post_init__(self):
         for name in ("d_bs", "d_se", "d_ew", "a_wr"):
@@ -213,50 +267,43 @@ class RobotParams:
             raise InvalidParams("wrist offset a_wr must be non-negative")
         if self.a_wr >= self.d_ew:
             raise InvalidParams("wrist offset a_wr must be smaller than d_ew")
+        table = self.__dict__.pop("mdh")
         try:
-            mdh = np.array(
-                self._canonical_mdh() if self.mdh is None else self.mdh, dtype=float
-            )
+            shape, flat = _read_floats(self._canonical_mdh() if table is None else table)
         except (TypeError, ValueError, OverflowError):
             raise InvalidParams("mdh table must be a (7,4) table of numbers") from None
-        if mdh.shape != (7, 4):
-            raise InvalidParams(f"mdh table must be (7,4), got {mdh.shape}")
-        if not np.all(np.isfinite(mdh)):
+        if shape != (7, 4):
+            raise InvalidParams(f"mdh table must be (7,4), got {shape}")
+        if not all(map(math.isfinite, flat)):
             raise InvalidParams("mdh table contains non-finite values")
-        mdh.setflags(write=False)
+        rows = tuple(tuple(flat[k:k + 4]) for k in range(0, 28, 4))
         # the kernels' float tables: the link constants and the joint offsets
-        rows = mdh.tolist()
         delta = tuple([r[3] - off for r, off in zip(rows, BASE_OFFSETS)])
-        self.__dict__.update(mdh=mdh, _links=link_table(rows), _delta=delta)
+        self.__dict__.update(_mdh=rows, _links=link_table(rows), _delta=delta)
         self._check_structure()
 
     def _canonical_mdh(self):
-        m = np.zeros((7, 4))
-        m[:, 0] = _CANON_ALPHA
-        m[6, 1] = self.a_wr
-        m[0, 2] = self.d_bs
-        m[2, 2] = -self.d_se
-        m[4, 2] = -self.d_ew
-        m[:, 3] = BASE_OFFSETS
-        return m
+        d = (self.d_bs, 0.0, -self.d_se, 0.0, -self.d_ew, 0.0, 0.0)
+        a = (0.0,) * 6 + (self.a_wr,)
+        return tuple(zip(_CANON_ALPHA, a, d, BASE_OFFSETS))
 
     def _check_structure(self):
         canon = self._canonical_mdh()
         # theta offsets are free, everything else must match the canonical chain
         for col, name in ((0, "alpha"), (1, "a"), (2, "d")):
-            dev = np.abs(self.mdh[:, col] - canon[:, col]).max()
+            dev = max(abs(r[col] - c[col]) for r, c in zip(self._mdh, canon))
             if dev > 1e-9:
                 raise InvalidParams(
                     f"mdh {name} column deviates from the supported chain "
                     f"structure by {dev:.3e}"
                 )
         # cross-check the declared lengths against a zero-joint FK pass
-        pts = frame_points(self, np.zeros(7))
+        _, C, S, E, W = _K.fk_chain(self._links, [0.0] * 7)
         checks = (
-            (np.linalg.norm(pts.elbow - pts.shoulder), self.d_se, "shoulder-elbow"),
-            (np.linalg.norm(pts.wrist - pts.elbow), self.d_ew, "elbow-wrist"),
-            (np.linalg.norm(pts.axis7 - pts.wrist), self.a_wr, "wrist-axis7"),
-            (pts.shoulder[2], self.d_bs, "base-shoulder height"),
+            (math.dist(E, S), self.d_se, "shoulder-elbow"),
+            (math.dist(W, E), self.d_ew, "elbow-wrist"),
+            (math.dist(C, W), self.a_wr, "wrist-axis7"),
+            (S[2], self.d_bs, "base-shoulder height"),
         )
         for got, want, name in checks:
             if abs(got - want) > 1e-9:
@@ -268,7 +315,7 @@ class RobotParams:
     @property
     def delta(self):
         """Offset between user joint coordinates and internal coordinates."""
-        return self.mdh[:, 3] - BASE_OFFSETS
+        return _array(self._delta)
 
     def to_dict(self):
         return {
@@ -276,7 +323,7 @@ class RobotParams:
             "d_se": self.d_se,
             "d_ew": self.d_ew,
             "a_wr": self.a_wr,
-            "mdh": self.mdh.tolist(),
+            "mdh": [list(r) for r in self._mdh],
         }
 
     @classmethod
@@ -312,27 +359,26 @@ def default_params():
     return RobotParams.from_dict(json.loads(ref.read_text()))
 
 
-def _joints_array(joints):
+def _joint_floats(joints):
+    # a JointConfig's floats (its q array's, once built) or validated input
     if isinstance(joints, JointConfig):
-        return joints.q
-    return _as_vec(joints, 7, "joints")
+        return joints.q.tolist() if "q" in joints.__dict__ else joints._q
+    return _vec(joints, 7, "joints")
 
 
 def mdh_transform(alpha, a, d, theta):
     """Single link transform for one table row at joint angle theta."""
-    link = _K.mdh_link(*_as_vec((alpha, a, d, theta), 4, "link parameters").tolist())
+    link = _K.mdh_link(*_vec((alpha, a, d, theta), 4, "link parameters"))
     return Transform._from_floats(link[:9], link[9:])
 
 
 def forward_kinematics(params, joints):
     """Pose of frame 7 in base coordinates."""
-    R, p, _, _, _ = _K.fk_chain(params._links, _joints_array(joints).tolist())
+    R, p, _, _, _ = _K.fk_chain(params._links, _joint_floats(joints))
     return Transform._from_floats(R, p)
 
 
 def frame_points(params, joints):
     """Shoulder, elbow, wrist and axis-7 points in base coordinates."""
-    _, p, S, E, W = _K.fk_chain(params._links, _joints_array(joints).tolist())
-    return FramePoints(
-        shoulder=np.array(S), elbow=np.array(E), wrist=np.array(W), axis7=np.array(p)
-    )
+    _, p, S, E, W = _K.fk_chain(params._links, _joint_floats(joints))
+    return FramePoints(_array(S), _array(E), _array(W), _array(p))

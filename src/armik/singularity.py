@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .robot import _joints_array, forward_kinematics, frame_points
+from .robot import _joint_floats, forward_kinematics, frame_points
 from ._kernels import active as _K
 
 HIT_TOL = 1e-6
@@ -46,7 +46,7 @@ def classify(joints, params, hit_tol=HIT_TOL, hit_tol_m=HIT_TOL_M,
     component distances; a hit needs distance < hit_tol (angles, rad) or
     < hit_tol_m for the meter-valued branch-fold expression.
     """
-    qu = _joints_array(joints)
+    qu = np.array(_joint_floats(joints))
     qp = np.array([_K.wrap_angle(v) for v in (qu + params.delta)])
     q6_star = math.acos(-params.a_wr / params.d_ew)
 
@@ -125,7 +125,7 @@ def numeric_jacobian(joints, params, h=1e-5):
     Rows 0..2: linear velocity of the frame origin; rows 3..5: angular
     velocity, both in base coordinates.
     """
-    q = _joints_array(joints).copy()
+    q = np.array(_joint_floats(joints))
     R0 = forward_kinematics(params, q).rotation
     J = np.empty((6, 7))
     for i in range(7):

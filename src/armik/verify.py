@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import AllCoefficientsZero, InvalidInput, NoConvergence
-from .robot import JointConfig, Transform, _joints_array
+from .robot import JointConfig, Transform, _joint_floats
 
 
 def _quat_mul(a, b):
@@ -90,7 +90,7 @@ def fk_oracle_batch(params, Q):
 
 def fk_oracle(params, joints):
     """Single-pose quaternion forward kinematics. Returns a Transform."""
-    q = _joints_array(joints)
+    q = np.array(_joint_floats(joints))
     R, p = fk_oracle_batch(params, q.reshape(1, 7))
     return Transform(R[0], p[0])
 
@@ -215,7 +215,7 @@ def numeric_ik(
     from .singularity import numeric_jacobian
     from .robot import forward_kinematics
 
-    q = _joints_array(seed).copy()
+    q = np.array(_joint_floats(seed))
     p_t = np.asarray(pose.translation, dtype=float)
     R_t = np.asarray(pose.rotation, dtype=float)
     err = math.inf

@@ -130,6 +130,24 @@ def test_arm_angle_points_rejects_hostile_input(at, bad):
         arm_angle_points(*points)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e200, 1e308])
+@pytest.mark.parametrize("tool_z, want", [([0.0, 1.0, 0.0], -math.pi / 4),
+                                          ([1.0, 0.0, 0.0], math.pi / 4)], ids=["y", "x"])
+def test_arm_angle_points_huge_coordinates(scale, tool_z, want):
+    # at 1e308 the squared distances overflow; the angle does not depend on
+    # the scale, and an offset shoulder must not change it either
+    S = [0.0, 0.0, 0.0]
+    E = [scale, scale, 0.0]
+    C = [0.0, 0.0, scale]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = arm_angle_points(S, E, C, tool_z)
+        assert abs(got - want) < 1e-12
+        shifted = [scale / 4, 0.0, 0.0]
+        moved = [[a + b for a, b in zip(P, shifted)] for P in (E, C)]
+        assert abs(arm_angle_points(shifted, *moved, tool_z) - want) < 1e-12
+
+
 def test_reduce_pose_fixed_point(params):
     pose = special_pose(params, 0.4, -0.7, 0.3)
     rp = reduce_pose(params, pose)
