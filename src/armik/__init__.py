@@ -26,7 +26,6 @@ from .robot import (
     forward_kinematics,
     frame_points,
     load_params,
-    mdh_transform,
 )
 from .arm_angle import (
     ReducedPose,
@@ -35,7 +34,6 @@ from .arm_angle import (
     reduce_pose,
     special_pose,
 )
-from .quartic import RealRoots, solve_quartic
 from .ik_core import (
     PSI_TOL,
     REASON_CATEGORY,
@@ -94,7 +92,6 @@ __all__ = [
     "InvalidRotation",
     "JointConfig",
     "NoConvergence",
-    "RealRoots",
     "ReducedPose",
     "RobotParams",
     "SingularityReport",
@@ -113,12 +110,10 @@ __all__ = [
     "forward_kinematics",
     "frame_points",
     "load_params",
-    "mdh_transform",
     "numeric_ik",
     "numeric_jacobian",
     "quartic_oracle",
     "reduce_pose",
     "solve",
-    "solve_quartic",
     "special_pose",
 ]

@@ -3,10 +3,40 @@
 Plain-Python bodies on float scalars, tuples, lists and math.*, which
 Python runs far faster than numpy scalar indexing. Failures are reported
 through integer status codes, not exceptions.
+
+The table below is the one home of every numeric threshold on the solve and
+`armik ik` paths. The kernels read its fixed cut-offs as module globals.
 """
 
 import math
 from math import cos, sin  # fk_chain's trig: a global lookup, no attribute lookup
+
+# --- thresholds: the condition each guards, and its unit ---
+# defaults of the ToleranceSet fields, the only thresholds a caller can tune
+POSE_TOL = 1e-8  # branch FK error: rotation geodesic plus translation distance (rad + m)
+ANGLE_MERGE_TOL = 1e-7  # two branches are one: every joint this close, wrapped (rad)
+BRANCH_RESIDUAL_TOL = 1e-7  # unsquared constraint residual over its largest term (unitless)
+SIN_DOMAIN_TOL = 1e-9  # slack on |cos| <= 1 before a domain rejection (unitless)
+PSI_TOL = 1e-8  # a branch's arm angle off the requested psi (rad)
+TOL_LEN = 1e-9  # a shorter SC, shoulder-elbow, tool axis or |t6| counts as zero (m)
+TOL_PARALLEL = 1e-8  # sine of the angle below which a direction is parallel to SC (unitless)
+DEGREE_TOL = 1e-12  # a quartic coefficient over the largest one below this is 0 (unitless)
+ROOT_MERGE_TOL = 1e-8  # quartic roots this close merge into one root (t6 units: m)
+COMPLEX_PAIR_TOL = 1e-7  # complex root pair is real: |imag| / max(1, |real|) below (unitless)
+# fixed cut-offs
+ARM_EQ_TOL = 1e-2  # arm-equation residual of the better sin q8 sign (rad)
+NEWTON_DET_TOL = 1e-13  # (q6, q8) Newton step: |det J| over its largest entry squared (unitless)
+ELBOW_TOL = 1e-10  # both atan2 arguments of q5 below this: elbow plane undefined (m)
+SHOULDER_CONSISTENCY_TOL = 1e-6  # residual of the q4/q5 equation that q5's atan2 leaves out (m)
+WRIST_TOL = 1e-10  # 1 - |r33| below this: q1 and q3 do not separate (unitless)
+BIQUAD_Q_TOL = 1e-13  # quartic is biquadratic: odd term |q| over 1 + |p| + |r| (unitless)
+BIQUAD_S2_TOL = 1e-14  # the same: resolvent root 2m over (1 + |p| + sqrt|r|)^2 (unitless)
+PARAMS_STRUCTURE_TOL = 1e-9  # parameter table off the supported chain (rad, m)
+ROT_TOL = 1e-9  # rotation input off orthonormal, or its determinant off +1 (unitless)
+QUAT_NORM_TOL = 1e-9  # quaternion input norm off 1 (unitless)
+HIT_TOL = 1e-6  # classify: distance of a singular family that counts as a hit (rad)
+HIT_TOL_M = 1e-9  # classify: the same for the branch-fold expression (m)
+SC_LEN_TOL = 1e-12  # classify: a shorter SC sets reference_parallel to 0 (m)
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
@@ -360,7 +390,7 @@ def solve_quartic_core(g4, g3, g2, g1, g0, degree_tol, root_merge_tol,
         use_biquad = False
         s2 = 0.0
         m = 0.0
-        if abs(q) <= 1e-13 * (1.0 + abs(p) + abs(r)):
+        if abs(q) <= BIQUAD_Q_TOL * (1.0 + abs(p) + abs(r)):
             use_biquad = True
         else:
             # resolvent m^3 + p m^2 + (p^2/4 - r) m - q^2/8 = 0; largest root
@@ -368,7 +398,7 @@ def solve_quartic_core(g4, g3, g2, g1, g0, degree_tol, root_merge_tol,
             ncr = solve_cubic_monic(p, 0.25 * p * p - r, -q * q / 8.0, cr)
             m = cr[ncr - 1]
             s2 = 2.0 * m
-            if s2 <= 1e-14 * (1.0 + abs(p) + math.sqrt(abs(r))) ** 2:
+            if s2 <= BIQUAD_S2_TOL * (1.0 + abs(p) + math.sqrt(abs(r))) ** 2:
                 use_biquad = True
         if use_biquad:
             # y^4 + p y^2 + r = 0
@@ -796,7 +826,7 @@ def ik_solve_core(links, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
             if rr < best_res:
                 best_res = rr
                 s8 = cand
-        if best_res > 1.0e-2:
+        if best_res > ARM_EQ_TOL:
             rej.extend(LEAF_REJ[REJ_ARM_EQ_MISMATCH][lo:lo + 4])
             continue
         q8 = math.atan2(s8 * sq8_mag, cq8)
@@ -817,7 +847,7 @@ def ik_solve_core(links, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
             J22 = t6n * c8 * cp - sp * t6n * cq * s8v
             det = J11 * J22 - J12 * J21
             jsc = max(abs(J11), max(abs(J12), max(abs(J21), abs(J22))))
-            if abs(det) < 1e-13 * jsc * jsc:
+            if abs(det) < NEWTON_DET_TOL * jsc * jsc:
                 break
             dq6 = (J22 * F1 - J12 * F2) / det
             dq8 = (-J21 * F1 + J11 * F2) / det
@@ -862,10 +892,10 @@ def ik_solve_core(links, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
         for s4i in (1, -1):
             base = lo + (0 if s4i > 0 else 2)
             q4 = s4i * q4a
-            if abs(a1) < 1e-10 and abs(a2) < 1e-10:
+            if abs(a1) < ELBOW_TOL and abs(a2) < ELBOW_TOL:
                 rej.extend(LEAF_REJ[REJ_ELBOW_DEGENERATE][base:base + 2])
                 continue
-            if abs(cons) > 1e-6:
+            if abs(cons) > SHOULDER_CONSISTENCY_TOL:
                 rej.extend(LEAF_REJ[REJ_CONSISTENCY][base:base + 2])
                 continue
             q5 = math.atan2(s4i * a1, s4i * a2)
@@ -879,7 +909,7 @@ def ik_solve_core(links, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
             r31 = R03[6]
             r32 = R03[7]
             r33 = R03[8]
-            if abs(r33) >= 1.0 - 1e-10:
+            if abs(r33) >= 1.0 - WRIST_TOL:
                 rej.extend(LEAF_REJ[REJ_WRIST_DEGENERATE][base:base + 2])
                 continue
             ac2 = math.acos(max(-1.0, min(1.0, r33)))

@@ -27,10 +27,10 @@ from ._kernels_impl import (
     ERR_DEGENERATE_ARM,
     ERR_ZERO_SC,
     OK,
+    TOL_LEN,
+    TOL_PARALLEL,
 )
 
-TOL_PARALLEL = 1e-8
-TOL_LEN = 1e-9
 # arm_angle_points rescales points beyond this: their squares may overflow
 _SQUARES_SAFE = 1e150
 

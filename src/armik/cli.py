@@ -24,13 +24,12 @@ from .robot import (
 )
 from .arm_angle import arm_angle
 from .ik_core import IkRequest, SolutionSet, solve
+from ._kernels_impl import HIT_TOL, HIT_TOL_M, QUAT_NORM_TOL
 
 # tags that indicate malformed input rather than a degenerate-but-valid request
 _PARSE_TAGS = ("invalid_params", "invalid_rotation", "invalid_input")
 # most arm-angle grid points one sweep may ask for
 SWEEP_MAX_COUNT = 10000
-# largest deviation of a quaternion's norm from 1 that `ik` accepts
-QUAT_NORM_TOL = 1e-9
 
 
 # encoded rejection entries, keyed by (label, reason, category); labels and
@@ -185,7 +184,7 @@ def _cmd_arm_angle(params, item):
 
 
 def _cmd_classify(params, item):
-    from .singularity import HIT_TOL, HIT_TOL_M, classify
+    from .singularity import classify
     joints = _get_joints(item)
     rep = classify(
         joints,
@@ -277,6 +276,8 @@ def _read_input(args):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise InvalidInput(f"input is not valid JSON: {e}") from None
+    except RecursionError:
+        raise InvalidInput("input JSON is nested too deeply") from None
 
 
 def _write_output(args, obj):

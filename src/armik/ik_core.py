@@ -23,11 +23,12 @@ import math
 
 from .errors import InvalidInput
 from .robot import JointConfig, RobotParams, Transform
-from .arm_angle import TOL_LEN, TOL_PARALLEL, reduce_pose
-from .quartic import COMPLEX_PAIR_TOL, DEGREE_TOL, ROOT_MERGE_TOL
+from .arm_angle import reduce_pose
 from ._kernels import active as _K
-
-PSI_TOL = 1e-8
+from ._kernels_impl import (
+    ANGLE_MERGE_TOL, BRANCH_RESIDUAL_TOL, COMPLEX_PAIR_TOL, DEGREE_TOL, POSE_TOL, PSI_TOL,
+    ROOT_MERGE_TOL, SIN_DOMAIN_TOL, TOL_LEN, TOL_PARALLEL,
+)
 
 REASON_NAMES = {
     1: "complex_root",
@@ -72,12 +73,14 @@ def leaf_label(leaf):
 
 @dataclass(frozen=True)
 class ToleranceSet:
-    """Numerical acceptance thresholds for the branch enumeration."""
+    """Numerical acceptance thresholds for the branch enumeration, the ones
+    a caller can tune; the defaults and every fixed cut-off are in the
+    threshold table of armik._kernels_impl."""
 
-    pose_tol: float = 1e-8
-    angle_merge_tol: float = 1e-7
-    branch_residual_tol: float = 1e-7
-    sin_domain_tol: float = 1e-9
+    pose_tol: float = POSE_TOL
+    angle_merge_tol: float = ANGLE_MERGE_TOL
+    branch_residual_tol: float = BRANCH_RESIDUAL_TOL
+    sin_domain_tol: float = SIN_DOMAIN_TOL
     psi_tol: float = PSI_TOL
     tol_len: float = TOL_LEN
     tol_parallel: float = TOL_PARALLEL

@@ -22,9 +22,7 @@ import sys
 
 from .errors import InvalidInput, InvalidParams, InvalidRotation
 from ._kernels import active as _K
-from ._kernels_impl import BASE_OFFSETS, link_table
-
-ROT_TOL = 1e-9
+from ._kernels_impl import BASE_OFFSETS, PARAMS_STRUCTURE_TOL, ROT_TOL, link_table
 
 # canonical chain structure: alpha and a columns are fixed by the geometry,
 # d column carries the three link lengths, row 7 carries the wrist offset
@@ -292,7 +290,7 @@ class RobotParams:
         # theta offsets are free, everything else must match the canonical chain
         for col, name in ((0, "alpha"), (1, "a"), (2, "d")):
             dev = max(abs(r[col] - c[col]) for r, c in zip(self._mdh, canon))
-            if dev > 1e-9:
+            if dev > PARAMS_STRUCTURE_TOL:
                 raise InvalidParams(
                     f"mdh {name} column deviates from the supported chain "
                     f"structure by {dev:.3e}"
@@ -306,7 +304,7 @@ class RobotParams:
             (S[2], self.d_bs, "base-shoulder height"),
         )
         for got, want, name in checks:
-            if abs(got - want) > 1e-9:
+            if abs(got - want) > PARAMS_STRUCTURE_TOL:
                 raise InvalidParams(
                     f"zero-pose {name} distance {got:.12f} does not match "
                     f"declared {want:.12f}"
@@ -345,6 +343,8 @@ def load_params(path):
         raise InvalidParams(f"cannot read parameter file: {e}") from None
     except json.JSONDecodeError as e:
         raise InvalidParams(f"parameter file is not valid JSON: {e}") from None
+    except RecursionError:
+        raise InvalidParams("parameter file JSON is nested too deeply") from None
     return RobotParams.from_dict(doc)
 
 
@@ -364,12 +364,6 @@ def _joint_floats(joints):
     if isinstance(joints, JointConfig):
         return joints.q.tolist() if "q" in joints.__dict__ else joints._q
     return _vec(joints, 7, "joints")
-
-
-def mdh_transform(alpha, a, d, theta):
-    """Single link transform for one table row at joint angle theta."""
-    link = _K.mdh_link(*_vec((alpha, a, d, theta), 4, "link parameters"))
-    return Transform._from_floats(link[:9], link[9:])
 
 
 def forward_kinematics(params, joints):

@@ -7,16 +7,14 @@ conditions are measured in radians on the solver's internal coordinates;
 the compound branch-fold expression is measured in meters.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
 
 from .robot import _joint_floats, forward_kinematics, frame_points
 from ._kernels import active as _K
-
-HIT_TOL = 1e-6
-HIT_TOL_M = 1e-9
+from ._kernels_impl import HIT_TOL, HIT_TOL_M, SC_LEN_TOL
 
 
 def _dist_to(v, targets):
@@ -66,7 +64,7 @@ def classify(joints, params, hit_tol=HIT_TOL, hit_tol_m=HIT_TOL_M,
     pose = forward_kinematics(params, qu)
     sc = pts.axis7 - pts.shoulder
     nsc = np.linalg.norm(sc)
-    if nsc < 1e-12:
+    if nsc < SC_LEN_TOL:
         d_ref = 0.0
     else:
         cosang = abs(float(sc @ pose.rotation[:, 2])) / nsc

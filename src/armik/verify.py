@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import AllCoefficientsZero, InvalidInput, NoConvergence
 from .robot import JointConfig, Transform, _joint_floats
+from ._kernels_impl import COMPLEX_PAIR_TOL, DEGREE_TOL, ROOT_MERGE_TOL
 
 
 def _quat_mul(a, b):
@@ -97,9 +98,9 @@ def fk_oracle(params, joints):
 
 def quartic_oracle(
     coeffs,
-    degree_tol=1e-12,
-    root_merge_tol=1e-8,
-    complex_accept=1e-7,
+    degree_tol=DEGREE_TOL,
+    root_merge_tol=ROOT_MERGE_TOL,
+    complex_accept=COMPLEX_PAIR_TOL,
 ):
     """Real roots of g4 t^4 + ... + g0 via companion-matrix eigenvalues.
 
@@ -248,7 +249,7 @@ class CheckResult:
 def check_all(params, n=500, seed=0):
     """Cross-check the analytical paths against the oracles on random data."""
     from .robot import forward_kinematics
-    from .quartic import solve_quartic
+    from ._kernels_impl import solve_quartic_core
     from .ik_core import IkRequest, solve
     from .arm_angle import arm_angle
     from .singularity import family_distance
@@ -272,12 +273,14 @@ def check_all(params, n=500, seed=0):
     quartic_dev = 0.0
     for _ in range(n):
         g = rng.uniform(-10.0, 10.0, size=5)
-        rr = solve_quartic(g)
+        roots = [0.0] * 4
+        count, _ = solve_quartic_core(*g, DEGREE_TOL, ROOT_MERGE_TOL, COMPLEX_PAIR_TOL,
+                                      roots, [0] * 4)
         ro, _ = quartic_oracle(g)
-        if rr.roots.shape[0] != ro.shape[0]:
+        if count != ro.shape[0]:
             quartic_dev = math.inf
-        elif rr.roots.shape[0]:
-            quartic_dev = max(quartic_dev, np.abs(rr.roots - ro).max())
+        elif count:
+            quartic_dev = max(quartic_dev, np.abs(np.array(roots[:count]) - ro).max())
     detail["quartic_max_dev"] = quartic_dev
 
     n_rt = min(n, 200)

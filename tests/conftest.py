@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from armik import classify, default_params
+from armik._kernels import active as K
+from armik._kernels_impl import COMPLEX_PAIR_TOL, DEGREE_TOL, ROOT_MERGE_TOL
 
 
 @pytest.fixture(scope="session")
@@ -30,6 +32,16 @@ def singular_distance(q, params):
     d = min(rep.distances[n] for n in _KIN + _ALG_ANG)
     g_max = params.d_ew + 2.0 * params.a_wr
     return min(d, rep.distances["branch_fold"] / g_max)
+
+
+def quartic_roots(coeffs):
+    """(status, roots, multiplicities) of the kernel's quartic solver at the
+    default tolerances; the coefficients go in as numpy float64 scalars."""
+    roots, mult = [0.0] * 4, [0] * 4
+    count, status = K.solve_quartic_core(
+        *np.asarray(coeffs, dtype=float), DEGREE_TOL, ROOT_MERGE_TOL, COMPLEX_PAIR_TOL,
+        roots, mult)
+    return status, np.array(roots[:count]), np.array(mult[:count])
 
 
 def sample_far_joints(rng, params, margin=5e-2):

@@ -27,12 +27,11 @@ from armik import (
     quartic_oracle,
     reduce_pose,
     solve,
-    solve_quartic,
 )
 from armik._kernels import active as K
 from armik.errors import ArmikError
 from armik.ik_core import DEFAULT_TOLERANCES, _run_kernel
-from conftest import family_sample, sample_far_joints, singular_distance
+from conftest import family_sample, quartic_roots, sample_far_joints, singular_distance
 
 FAMILIES = (
     "elbow_straight",
@@ -229,13 +228,13 @@ def test_criterion_4_quartic_oracle_equivalence():
     mismatches = 0
     worst = 0.0
     for c in C:
-        mine = solve_quartic(c)
+        _, mine, _ = quartic_roots(c)
         theirs, _ = quartic_oracle(c)
-        if len(mine.roots) != len(theirs):
+        if len(mine) != len(theirs):
             mismatches += 1
             continue
         if len(theirs):
-            dev = np.max(np.abs(np.sort(mine.roots) - np.sort(theirs)))
+            dev = np.max(np.abs(np.sort(mine) - np.sort(theirs)))
             worst = max(worst, float(dev))
     ok = mismatches == 0 and worst < 1e-10
     _report(

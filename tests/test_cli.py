@@ -401,3 +401,19 @@ def test_module_invocation_smoke():
     assert out.returncode == 0, out.stderr
     psi = json.loads(out.stdout)["psi"]
     assert abs(psi - arm_angle(default_params(), np.array(Q0))) < 1e-15
+
+
+def test_deeply_nested_input_is_invalid_input(capsys):
+    # json.loads recurses once per nesting level and raises RecursionError
+    nested = "[" * 100000 + "]" * 100000
+    assert main(["ik", "--json", nested]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["tag"] == "invalid_input"
+
+
+def test_deeply_nested_params_file_is_invalid_params(capsys, tmp_path):
+    pfile = tmp_path / "robot.json"
+    pfile.write_text("[" * 100000 + "]" * 100000)
+    assert main(["--params", str(pfile), "fk", "--json", json.dumps({"joints": [0.0] * 7})]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["tag"] == "invalid_params"

@@ -319,6 +319,19 @@ def test_u6_cos_domain_site_is_reached_through_solve(params):
     assert len(res.branches) + len(res.rejected) == 16
 
 
+def test_shoulder_consistency_site_is_reached_through_solve(params):
+    # 3.2e-6 rad off the elbow_straight family (q4 = 0), at its own arm
+    # angle: both elbow signs of root slot 1 fail the q4/q5 consistency test
+    q = [0.5155392456893201, 1.2683055079760985, 2.872350935718423, 3.210121314883423e-06,
+         0.17235971574904635, 1.7681888204904475, 2.6972409867123237]
+    res = solve(IkRequest(pose=forward_kinematics(params, q), psi=arm_angle(params, q),
+                          params=params))
+    consistency = sorted(r.leaf for r in res.rejected if r.reason == "shoulder_consistency")
+    assert consistency == [4, 5, 6, 7]
+    assert len(res.branches) + len(res.rejected) == 16
+    assert all(b.pose_error < 1e-8 for b in res.branches)
+
+
 def test_kernel_calls_the_helpers_perfbench_traces(params, monkeypatch):
     # perfbench times fk_chain, rot_geodesic, arm_dihedral and
     # solve_quartic_core by wrapping them on the kernel module, whose globals

@@ -1,14 +1,9 @@
 import numpy as np
-import pytest
 from numpy.testing import assert_allclose
 
-from armik import (
-    AllCoefficientsZero,
-    InvalidInput,
-    RealRoots,
-    solve_quartic,
-    quartic_oracle,
-)
+from armik import quartic_oracle
+from armik._kernels_impl import ERR_ALL_COEFFS_ZERO, OK
+from conftest import quartic_roots
 
 
 def _poly(roots):
@@ -20,68 +15,59 @@ def _poly(roots):
 
 
 def test_four_simple_roots():
-    res = solve_quartic(_poly([1.0, 2.0, 3.0, 4.0]))
-    assert len(res) == 4
-    assert_allclose(sorted(res.roots), [1.0, 2.0, 3.0, 4.0], atol=1e-10)
-    assert all(m == 1 for m in res.multiplicities)
+    _, roots, mult = quartic_roots(_poly([1.0, 2.0, 3.0, 4.0]))
+    assert len(roots) == 4
+    assert_allclose(sorted(roots), [1.0, 2.0, 3.0, 4.0], atol=1e-10)
+    assert all(m == 1 for m in mult)
 
 
 def test_no_real_roots():
-    res = solve_quartic([1.0, 0.0, 0.0, 0.0, 1.0])  # t^4 + 1
-    assert len(res) == 0
+    status, roots, _ = quartic_roots([1.0, 0.0, 0.0, 0.0, 1.0])  # t^4 + 1
+    assert status == OK and len(roots) == 0
 
 
 def test_biquadratic():
     # t^4 - 5 t^2 + 4 = (t^2-1)(t^2-4)
-    res = solve_quartic([1.0, 0.0, -5.0, 0.0, 4.0])
-    assert_allclose(sorted(res.roots), [-2.0, -1.0, 1.0, 2.0], atol=1e-10)
+    _, roots, _ = quartic_roots([1.0, 0.0, -5.0, 0.0, 4.0])
+    assert_allclose(sorted(roots), [-2.0, -1.0, 1.0, 2.0], atol=1e-10)
 
 
 def test_double_root_multiplicity():
-    res = solve_quartic(_poly([2.0, 2.0, -1.0, 5.0]))
-    order = np.argsort(res.roots)
-    roots = np.asarray(res.roots)[order]
-    mult = np.asarray(res.multiplicities)[order]
-    assert_allclose(roots, [-1.0, 2.0, 5.0], atol=1e-6)
-    assert list(mult) == [1, 2, 1]
+    _, roots, mult = quartic_roots(_poly([2.0, 2.0, -1.0, 5.0]))
+    order = np.argsort(roots)
+    assert_allclose(roots[order], [-1.0, 2.0, 5.0], atol=1e-6)
+    assert list(mult[order]) == [1, 2, 1]
 
 
 def test_quadruple_root():
-    res = solve_quartic(_poly([3.0, 3.0, 3.0, 3.0]))
-    assert sum(res.multiplicities) == 4
-    assert_allclose(res.roots, [3.0] * len(res.roots), atol=1e-3)
+    _, roots, mult = quartic_roots(_poly([3.0, 3.0, 3.0, 3.0]))
+    assert sum(mult) == 4
+    assert_allclose(roots, [3.0] * len(roots), atol=1e-3)
 
 
 def test_degree_degradation():
     # leading zeros hand off to cubic / quadratic / linear solvers
-    res = solve_quartic([0.0, 1.0, -6.0, 11.0, -6.0])  # (t-1)(t-2)(t-3)
-    assert_allclose(sorted(res.roots), [1.0, 2.0, 3.0], atol=1e-10)
-    res = solve_quartic([0.0, 0.0, 1.0, -3.0, 2.0])
-    assert_allclose(sorted(res.roots), [1.0, 2.0], atol=1e-12)
-    res = solve_quartic([0.0, 0.0, 0.0, 2.0, -5.0])
-    assert_allclose(res.roots, [2.5], atol=1e-12)
-    res = solve_quartic([0.0, 0.0, 0.0, 0.0, 3.0])  # nonzero constant
-    assert len(res) == 0
+    _, roots, _ = quartic_roots([0.0, 1.0, -6.0, 11.0, -6.0])  # (t-1)(t-2)(t-3)
+    assert_allclose(sorted(roots), [1.0, 2.0, 3.0], atol=1e-10)
+    _, roots, _ = quartic_roots([0.0, 0.0, 1.0, -3.0, 2.0])
+    assert_allclose(sorted(roots), [1.0, 2.0], atol=1e-12)
+    _, roots, _ = quartic_roots([0.0, 0.0, 0.0, 2.0, -5.0])
+    assert_allclose(roots, [2.5], atol=1e-12)
+    status, roots, _ = quartic_roots([0.0, 0.0, 0.0, 0.0, 3.0])  # nonzero constant
+    assert status == OK and len(roots) == 0
 
 
-def test_all_zero_raises():
-    with pytest.raises(AllCoefficientsZero):
-        solve_quartic([0.0, 0.0, 0.0, 0.0, 0.0])
-
-
-def test_invalid_input():
-    with pytest.raises(InvalidInput):
-        solve_quartic([1.0, 2.0, 3.0])
-    with pytest.raises(InvalidInput):
-        solve_quartic([1.0, np.nan, 0.0, 0.0, 1.0])
+def test_all_zero_status():
+    status, roots, _ = quartic_roots([0.0, 0.0, 0.0, 0.0, 0.0])
+    assert status == ERR_ALL_COEFFS_ZERO and len(roots) == 0
 
 
 def test_deterministic():
     coeffs = [2.0, -3.0, -11.0, 6.0, 1.0]
-    a = solve_quartic(coeffs)
-    b = solve_quartic(coeffs)
-    assert np.array_equal(a.roots, b.roots)  # bitwise identical
-    assert np.array_equal(a.multiplicities, b.multiplicities)
+    _, ra, ma = quartic_roots(coeffs)
+    _, rb, mb = quartic_roots(coeffs)
+    assert np.array_equal(ra, rb)  # bitwise identical
+    assert np.array_equal(ma, mb)
 
 
 def test_matches_companion_oracle():
@@ -91,17 +77,17 @@ def test_matches_companion_oracle():
         c = rng.uniform(-10.0, 10.0, size=5)
         if abs(c[0]) < 1e-3:
             continue
-        mine = solve_quartic(c)
+        _, mine, _ = quartic_roots(c)
         theirs, _ = quartic_oracle(c)
         # skip near-degenerate sets where root count is tolerance sensitive
-        if len(mine.roots) != len(theirs):
-            r = np.sort(np.concatenate([mine.roots, theirs]))
+        if len(mine) != len(theirs):
+            r = np.sort(np.concatenate([mine, theirs]))
             assert np.any(np.diff(r) < 1e-5) or np.any(
                 np.abs(np.polyval(c, r)) < 1e-4 * np.max(np.abs(c))
             )
             continue
         checked += 1
-        assert_allclose(sorted(mine.roots), sorted(theirs), atol=1e-8)
+        assert_allclose(sorted(mine), sorted(theirs), atol=1e-8)
     assert checked > 1500
 
 
@@ -111,13 +97,8 @@ def test_residuals_small():
         c = rng.uniform(-10.0, 10.0, size=5)
         if abs(c[0]) < 1e-3:
             continue
-        res = solve_quartic(c)
+        _, roots, _ = quartic_roots(c)
         scale = np.max(np.abs(c))
-        for r in res.roots:
+        for r in roots:
             # relative backward error of each reported root
             assert abs(np.polyval(c, r)) < 1e-7 * scale * max(1.0, abs(r)) ** 4
-
-
-def test_real_roots_container():
-    rr = RealRoots(np.array([1.0, 2.0]), np.array([1, 1]))
-    assert len(rr) == 2

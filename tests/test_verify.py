@@ -17,10 +17,10 @@ from armik import (
     numeric_ik,
     quartic_oracle,
     solve,
-    solve_quartic,
 )
 from armik.verify import _quat_to_mat
-from conftest import sample_far_joints
+from armik._kernels_impl import ERR_ALL_COEFFS_ZERO
+from conftest import quartic_roots, sample_far_joints
 
 
 def test_fk_oracle_zero_config(params):
@@ -91,11 +91,10 @@ def test_quartic_oracle_examples():
     # the analytical solver agrees on both degenerate inputs
     with pytest.raises(AllCoefficientsZero):
         quartic_oracle([0.0, 0.0, 0.0, 0.0, 0.0])
-    with pytest.raises(AllCoefficientsZero):
-        solve_quartic([0.0, 0.0, 0.0, 0.0, 0.0])
+    assert quartic_roots([0.0, 0.0, 0.0, 0.0, 0.0])[0] == ERR_ALL_COEFFS_ZERO
     roots, mult = quartic_oracle([0.0, 0.0, 0.0, 0.0, 5.0])
     assert len(roots) == 0 and len(mult) == 0
-    assert len(solve_quartic([0.0, 0.0, 0.0, 0.0, 5.0]).roots) == 0
+    assert len(quartic_roots([0.0, 0.0, 0.0, 0.0, 5.0])[1]) == 0
 
 
 def test_numeric_ik_fixed_point(params):
