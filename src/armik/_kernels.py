@@ -1,7 +1,8 @@
-"""The kernel module the rest of the package calls through.
+"""Alias of the kernel module, kept only for perfbench.
 
-perfbench wraps kernel attributes on ``active`` and records ``BACKEND`` in
-its run metadata, so both names stay.
+perfbench wraps kernel attributes on ``active`` and records ``BACKEND``
+(also ``armik.BACKEND``) in its run metadata. The package's modules import
+``_kernels_impl`` directly.
 """
 
 from . import _kernels_impl as active

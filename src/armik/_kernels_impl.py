@@ -1,15 +1,20 @@
 """Hot-path kernels: forward kinematics, quartic roots, branch enumeration.
 
 Plain-Python bodies on float scalars, tuples, lists and math.*, which
-Python runs far faster than numpy scalar indexing. Failures are reported
-through integer status codes, not exceptions.
+Python runs far faster than numpy scalar indexing. Degenerate input raises
+the package's typed errors (ZeroSC, AxisParallel, DegenerateArm,
+AllCoefficientsZero); ik_solve_core ends each of its 16 leaves as a branch
+tuple or as a shared RejectedBranch record.
 
 The table below is the one home of every numeric threshold on the solve and
 `armik ik` paths. The kernels read its fixed cut-offs as module globals.
 """
 
+from dataclasses import dataclass
 import math
 from math import cos, sin  # fk_chain's trig: a global lookup, no attribute lookup
+
+from .errors import AllCoefficientsZero, AxisParallel, DegenerateArm, ZeroSC
 
 # --- thresholds: the condition each guards, and its unit ---
 # defaults of the ToleranceSet fields, the only thresholds a caller can tune
@@ -44,35 +49,50 @@ HALF_PI = 0.5 * math.pi
 # zero offsets of the solver's internal joint coordinates
 BASE_OFFSETS = (0.0, -HALF_PI, HALF_PI, 0.0, HALF_PI, HALF_PI, 0.0)
 
-# status codes
-OK = 0
-ERR_ZERO_SC = 1
-ERR_AXIS_PARALLEL = 2
-ERR_DEGENERATE_ARM = 3
-ERR_ALL_COEFFS_ZERO = 4
+# per-leaf rejection reasons with their categories, in code order (codes
+# 1..13); each of the 16 leaves = 4 root slots x 2 elbow signs x 2 q2 signs
+# ends as an accepted branch or as one of these
+REASONS = (
+    ("complex_root", "complex_root"),
+    ("cos_domain", "domain"),
+    ("unsquared_residual", "residual"),
+    ("q8_degenerate", "degeneracy"),
+    ("arm_equation_mismatch", "residual"),
+    ("unreachable", "domain"),
+    ("elbow_degenerate", "degeneracy"),
+    ("shoulder_consistency", "residual"),
+    ("wrist_degenerate", "degeneracy"),
+    ("pose_mismatch", "residual"),
+    ("psi_mismatch", "residual"),
+    ("duplicate", "duplicate"),
+    ("quartic_identically_zero", "degeneracy"),
+)
 
-# alignment rows reduce_pose_core returns with an error status
-NO_ALIGN = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
-# per-leaf rejection codes (one of 16 = 4 root slots x 2 elbow signs x 2 q2 signs)
-REJ_COMPLEX_ROOT = 1
-REJ_COS_DOMAIN = 2
-REJ_EQ_RESIDUAL = 3
-REJ_Q8_DEGENERATE = 4
-REJ_ARM_EQ_MISMATCH = 5
-REJ_UNREACHABLE = 6
-REJ_ELBOW_DEGENERATE = 7
-REJ_CONSISTENCY = 8
-REJ_WRIST_DEGENERATE = 9
-REJ_POSE_MISMATCH = 10
-REJ_PSI_MISMATCH = 11
-REJ_DUPLICATE = 12
-REJ_QUARTIC_ZERO = 13
+def leaf_label(leaf):
+    """Human-readable branch label for a leaf index 0..15."""
+    slot = leaf // 4
+    q4s = "+" if (leaf % 4) < 2 else "-"
+    q2s = "+" if (leaf % 2) == 0 else "-"
+    return f"root{slot}/q4{q4s}/q2{q2s}"
 
-# LEAF_REJ[code][leaf] is the rejection pair (leaf, code), built once: a
-# slot's four leaves are LEAF_REJ[code][4 * slot:4 * slot + 4]
-LEAF_REJ = tuple(tuple((leaf, code) for leaf in range(16))
-                 for code in range(REJ_QUARTIC_ZERO + 1))
+
+@dataclass(frozen=True)
+class RejectedBranch:
+    """A candidate leaf that was ruled out, with the reason."""
+
+    label: str
+    leaf: int
+    reason: str
+    category: str
+
+
+# LEAF_REJ[reason][leaf] is the record of that rejection, built once and
+# shared by every solve: a slot's four leaves are LEAF_REJ[reason][4 * slot:4 * slot + 4]
+LEAF_REJ = {
+    reason: tuple(RejectedBranch(leaf_label(leaf), leaf, reason, category) for leaf in range(16))
+    for reason, category in REASONS
+}
 
 
 def wrap_angle(a):
@@ -301,9 +321,8 @@ def _cbrt(x):
     return -((-x) ** (1.0 / 3.0))
 
 
-def solve_cubic_monic(a2, a1, a0, roots):
-    """Real roots of x^3 + a2 x^2 + a1 x + a0, ascending, into the list
-    roots. Returns count."""
+def solve_cubic_monic(a2, a1, a0):
+    """Real roots of x^3 + a2 x^2 + a1 x + a0 as an ascending tuple."""
     p = a1 - a2 * a2 / 3.0
     qq = 2.0 * a2 * a2 * a2 / 27.0 - a2 * a1 / 3.0 + a0
     shift = -a2 / 3.0
@@ -312,15 +331,15 @@ def solve_cubic_monic(a2, a1, a0, roots):
         sq = math.sqrt(disc)
         u = _cbrt(-0.5 * qq + sq)
         v = _cbrt(-0.5 * qq - sq)
-        roots[0] = u + v + shift
-        return 1
+        return (u + v + shift,)
     if p >= 0.0:
         # p ~ 0 with disc <= 0 forces q ~ 0: triple root
-        roots[0] = shift
-        roots[1] = shift
-        roots[2] = shift
-        return 3
+        return (shift, shift, shift)
     rho = math.sqrt(-p * p * p / 27.0)
+    if rho == 0.0:
+        # p in about (-1e-103, 0) underflows rho; the three roots lie within
+        # 2 sqrt(-p / 3) < 1e-51 of shift: the same triple root
+        return (shift, shift, shift)
     arg = -0.5 * qq / rho
     if arg > 1.0:
         arg = 1.0
@@ -328,35 +347,18 @@ def solve_cubic_monic(a2, a1, a0, roots):
         arg = -1.0
     th = math.acos(arg)
     amp = 2.0 * math.sqrt(-p / 3.0)
-    r0 = amp * math.cos(th / 3.0) + shift
-    r1 = amp * math.cos((th - TWO_PI) / 3.0) + shift
-    r2 = amp * math.cos((th + TWO_PI) / 3.0) + shift
-    # manual ascending sort of three values
-    if r0 > r1:
-        t = r0
-        r0 = r1
-        r1 = t
-    if r1 > r2:
-        t = r1
-        r1 = r2
-        r2 = t
-    if r0 > r1:
-        t = r0
-        r0 = r1
-        r1 = t
-    roots[0] = r0
-    roots[1] = r1
-    roots[2] = r2
-    return 3
+    return tuple(sorted((amp * math.cos(th / 3.0) + shift,
+                         amp * math.cos((th - TWO_PI) / 3.0) + shift,
+                         amp * math.cos((th + TWO_PI) / 3.0) + shift)))
 
 
-def solve_quartic_core(g4, g3, g2, g1, g0, degree_tol, root_merge_tol,
-                       complex_accept, roots, mult):
+def solve_quartic_core(g4, g3, g2, g1, g0, degree_tol, root_merge_tol, complex_accept):
     """Real roots of g4 t^4 + ... + g0, ascending, merged with multiplicities.
 
     Ferrari resolvent-cubic closed form with degree degradation and a
-    guarded Newton polish with step backtracking. Writes the roots and their
-    multiplicities into the lists roots and mult; returns (count, status).
+    guarded Newton polish with step backtracking. Returns (count, roots,
+    mults), the roots and their multiplicities as lists; raises
+    AllCoefficientsZero when every coefficient is zero.
     """
     scale = abs(g4)
     if abs(g3) > scale:
@@ -368,7 +370,7 @@ def solve_quartic_core(g4, g3, g2, g1, g0, degree_tol, root_merge_tol,
     if abs(g0) > scale:
         scale = abs(g0)
     if scale < 1e-300:
-        return 0, ERR_ALL_COEFFS_ZERO
+        raise AllCoefficientsZero("polynomial is identically zero")
     c4 = g4 / scale
     c3 = g3 / scale
     c2 = g2 / scale
@@ -394,9 +396,7 @@ def solve_quartic_core(g4, g3, g2, g1, g0, degree_tol, root_merge_tol,
             use_biquad = True
         else:
             # resolvent m^3 + p m^2 + (p^2/4 - r) m - q^2/8 = 0; largest root
-            cr = [0.0, 0.0, 0.0]
-            ncr = solve_cubic_monic(p, 0.25 * p * p - r, -q * q / 8.0, cr)
-            m = cr[ncr - 1]
+            m = solve_cubic_monic(p, 0.25 * p * p - r, -q * q / 8.0)[-1]
             s2 = 2.0 * m
             if s2 <= BIQUAD_S2_TOL * (1.0 + abs(p) + math.sqrt(abs(r))) ** 2:
                 use_biquad = True
@@ -458,10 +458,7 @@ def solve_quartic_core(g4, g3, g2, g1, g0, degree_tol, root_merge_tol,
                         raw.append(re + shift)
                         raw.append(re + shift)
     elif abs(c3) > cut:
-        cr = [0.0, 0.0, 0.0]
-        ncr = solve_cubic_monic(c2 / c3, c1 / c3, c0 / c3, cr)
-        for i in range(ncr):
-            raw.append(cr[i])
+        raw.extend(solve_cubic_monic(c2 / c3, c1 / c3, c0 / c3))
     elif abs(c2) > cut:
         disc = c1 * c1 - 4.0 * c2 * c0
         if disc >= 0.0:
@@ -482,7 +479,7 @@ def solve_quartic_core(g4, g3, g2, g1, g0, degree_tol, root_merge_tol,
         raw.append(-c0 / c1)
     else:
         # nonzero constant: no roots
-        return 0, OK
+        return 0, [], []
 
     # Newton polish on the scaled polynomial; a full step that increases |P|
     # is halved up to 4 times (closed form can overshoot badly when the
@@ -515,19 +512,13 @@ def solve_quartic_core(g4, g3, g2, g1, g0, degree_tol, root_merge_tol,
                 break
         raw[i] = x
 
-    # insertion sort ascending
-    for i in range(1, nraw):
-        key = raw[i]
-        j = i - 1
-        while j >= 0 and raw[j] > key:
-            raw[j + 1] = raw[j]
-            j -= 1
-        raw[j + 1] = key
+    raw.sort()
 
-    # merge within root_merge_tol
-    count = 0
+    # merge within root_merge_tol; there are at most 4 raw roots
+    roots = []
+    mults = []
     i = 0
-    while i < nraw and count < 4:
+    while i < nraw:
         j = i + 1
         while j < nraw and raw[j] - raw[i] <= root_merge_tol:
             j += 1
@@ -538,19 +529,15 @@ def solve_quartic_core(g4, g3, g2, g1, g0, degree_tol, root_merge_tol,
             if ft < bestf:
                 best = raw[t]
                 bestf = ft
-        roots[count] = best
-        mm = j - i
-        if mm > 4:
-            mm = 4
-        mult[count] = mm
-        count += 1
+        roots.append(best)
+        mults.append(j - i)
         i = j
-    return count, OK
+    return len(roots), roots, mults
 
 
 def reduce_pose_core(R, p, d_bs, tol_len, tol_parallel):
-    """Reduce an end pose (R a row-major 9-list) to (d_sc, q, al, A, status),
-    A the rows of the aligning rotation as a row-major 9-tuple."""
+    """Reduce an end pose (R a row-major 9-list) to (d_sc, q, al, A), A the
+    rows of the aligning rotation as a row-major 9-tuple."""
     scx = p[0]
     scy = p[1]
     scz = p[2] - d_bs
@@ -566,7 +553,7 @@ def reduce_pose_core(R, p, d_bs, tol_len, tol_parallel):
     n = math.sqrt(ss)
     d_sc = m * n
     if d_sc < tol_len:
-        return 0.0, 0.0, 0.0, NO_ALIGN, ERR_ZERO_SC
+        raise ZeroSC("axis-7 center coincides with the shoulder")
     zvx = scx / n
     zvy = scy / n
     zvz = scz / n
@@ -578,7 +565,7 @@ def reduce_pose_core(R, p, d_bs, tol_len, tol_parallel):
     crz = z7x * zvy - z7y * zvx
     cn = math.sqrt(crx * crx + cry * cry + crz * crz)
     if cn < tol_parallel:
-        return d_sc, 0.0, 0.0, NO_ALIGN, ERR_AXIS_PARALLEL
+        raise AxisParallel("tool z-axis is parallel to the shoulder-to-axis7 line")
     yvx = crx / cn
     yvy = cry / cn
     yvz = crz / cn
@@ -604,17 +591,19 @@ def reduce_pose_core(R, p, d_bs, tol_len, tol_parallel):
     cxz = x72x * x7y - x72y * x7x
     al = math.atan2(cxx * z7x + cxy * z7y + cxz * z7z,
                     x72x * x7x + x72y * x7y + x72z * x7z)
-    return d_sc, q, al, A, OK
+    return d_sc, q, al, A
 
 
 def arm_dihedral(S, E, C, z7, tol_len, tol_parallel):
-    """Signed dihedral about SC from plane(SC, z7) to plane(SC, SE)."""
+    """Signed dihedral about SC from plane(SC, z7) to plane(SC, SE), in
+    (-pi, pi]. Raises ZeroSC, AxisParallel or DegenerateArm when SC, the
+    reference plane or the arm plane is undefined."""
     ux = C[0] - S[0]
     uy = C[1] - S[1]
     uz = C[2] - S[2]
     un = math.sqrt(ux * ux + uy * uy + uz * uz)
     if un < tol_len:
-        return 0.0, ERR_ZERO_SC
+        raise ZeroSC("axis-7 center coincides with the shoulder")
     ux /= un
     uy /= un
     uz /= un
@@ -624,29 +613,30 @@ def arm_dihedral(S, E, C, z7, tol_len, tol_parallel):
     ay = z7[1] - dzu * uy
     az = z7[2] - dzu * uz
     if math.sqrt(ax * ax + ay * ay + az * az) < tol_parallel:
-        return 0.0, ERR_AXIS_PARALLEL
+        raise AxisParallel("tool z-axis is parallel to the SC line")
     sex = E[0] - S[0]
     sey = E[1] - S[1]
     sez = E[2] - S[2]
     sen = math.sqrt(sex * sex + sey * sey + sez * sez)
     if sen < tol_len:
-        return 0.0, ERR_DEGENERATE_ARM
+        raise DegenerateArm("elbow lies on the SC line, arm angle undefined")
     dsu = (sex * ux + sey * uy + sez * uz)
     bx = sex - dsu * ux
     by = sey - dsu * uy
     bz = sez - dsu * uz
     if math.sqrt(bx * bx + by * by + bz * bz) < tol_parallel * sen:
-        return 0.0, ERR_DEGENERATE_ARM
+        raise DegenerateArm("elbow lies on the SC line, arm angle undefined")
     cxx = ay * bz - az * by
     cxy = az * bx - ax * bz
     cxz = ax * by - ay * bx
     psi = math.atan2(cxx * ux + cxy * uy + cxz * uz,
                      ax * bx + ay * by + az * bz)
-    return wrap_angle(psi), OK
+    return wrap_angle(psi)
 
 
 def arm_angle_core(links, q, tol_len, tol_parallel):
-    """Arm angle of a joint configuration via the FK frame points."""
+    """Arm angle of a joint configuration via the FK frame points; raises as
+    arm_dihedral does."""
     R, C, S, E, W = fk_chain(links, q)
     return arm_dihedral(S, E, C, (R[2], R[5], R[8]), tol_len, tol_parallel)
 
@@ -698,50 +688,54 @@ def eq7_residual(t6, r6, k, y, a_wr, tm1, tm2, tm3):
     return res, sc
 
 
-def ik_solve_core(links, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
-                  pose_tol, angle_merge_tol, branch_residual_tol,
-                  sin_domain_tol, psi_tol, tol_len, tol_parallel, degree_tol,
-                  root_merge_tol, complex_accept):
+def ik_solve_core(params, tol, R07, p07, d_sc, q, al, psi):
     """Enumerate all 16 candidate branches for a reduced pose.
 
     R07/p07 is the pose every branch is verified against (and the rotation fed
     to the q1..q3 decomposition): the original pose of the request, of which
-    (d_sc, q, al) is the reduced form.
-    links is the parameter table as link_table rows, delta the 7 joint
-    offsets, R07 a row-major 9-tuple and p07 a 3-tuple.
-    Every one of the 16 leaves is either accepted or lands in the rejection
-    table with a reason code; nothing is silently dropped.
+    (d_sc, q, al) is the reduced form. params is a RobotParams, tol a
+    ToleranceSet, R07 a row-major 9-tuple and p07 a 3-tuple.
+    Every one of the 16 leaves is either accepted or rejected with a reason;
+    nothing is silently dropped.
 
     Returns (accepted, rejected): accepted holds one tuple (joints, slot, t6,
     r6, q8, q4 sign, q2 sign, arm_eq_res, pose_eq_res, pose error) per
-    branch, with the joints a 7-tuple and the signs +-1; rejected holds one
-    (leaf, reason code) pair per rejected leaf.
+    branch, with the joints a 7-tuple and the signs +-1; rejected holds the
+    LEAF_REJ record of each rejected leaf.
     """
+    links = params._links
+    delta = params._delta
+    d_se = params.d_se
+    d_ew = params.d_ew
+    a_wr = params.a_wr
+    pose_tol = tol.pose_tol
+    angle_merge_tol = tol.angle_merge_tol
+    branch_residual_tol = tol.branch_residual_tol
+    sin_domain_tol = tol.sin_domain_tol
+    psi_tol = tol.psi_tol
+    tol_len = tol.tol_len
+    tol_parallel = tol.tol_parallel
     acc = []
-    rej = []
 
     k, y, tm1, tm2, tm3, g4, g3, g2, g1, g0 = quartic_setup_core(
         d_sc, q, psi, d_se, d_ew, a_wr)
-    roots = [0.0, 0.0, 0.0, 0.0]
-    mults = [0, 0, 0, 0]
-    nroots, qstatus = solve_quartic_core(
-        g4, g3, g2, g1, g0, degree_tol, root_merge_tol, complex_accept,
-        roots, mults)
-    if qstatus != OK:
-        rej.extend(LEAF_REJ[REJ_QUARTIC_ZERO])
-        return acc, rej
+    try:
+        _, roots, mults = solve_quartic_core(
+            g4, g3, g2, g1, g0, tol.degree_tol, tol.root_merge_tol, tol.complex_accept)
+    except AllCoefficientsZero:
+        return acc, list(LEAF_REJ["quartic_identically_zero"])
 
-    # expand multiplicities into the 4 root slots; a slot born from a double
-    # root is retried with the opposite elbow-plane sign (branch fold)
+    # expand multiplicities (summing to at most 4) into the root slots; a
+    # slot born from a double root is retried with the opposite elbow-plane
+    # sign (branch fold)
     slot_t6 = []
     slot_dup = []
-    for i in range(nroots):
-        for mcopy in range(mults[i]):
-            if len(slot_t6) < 4:
-                slot_t6.append(roots[i])
-                slot_dup.append(mcopy)
+    for t6, m in zip(roots, mults):
+        for mcopy in range(m):
+            slot_t6.append(t6)
+            slot_dup.append(mcopy)
     n_slot = len(slot_t6)
-    rej.extend(LEAF_REJ[REJ_COMPLEX_ROOT][n_slot * 4:])
+    rej = list(LEAF_REJ["complex_root"][n_slot * 4:])
     if n_slot == 0:
         return acc, rej
 
@@ -762,7 +756,7 @@ def ik_solve_core(links, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
         t6 = slot_t6[slot]
         u6 = (t6 - a_wr) / d_ew
         if abs(u6) > 1.0 + sin_domain_tol:
-            rej.extend(LEAF_REJ[REJ_COS_DOMAIN][lo:lo + 4])
+            rej.extend(LEAF_REJ["cos_domain"][lo:lo + 4])
             continue
         if u6 > 1.0:
             u6 = 1.0
@@ -792,10 +786,10 @@ def ik_solve_core(links, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
                 res6 = res_m
                 sc6 = sc_m
             if abs(res6) > branch_residual_tol * sc6 or r6_mag == 0.0:
-                rej.extend(LEAF_REJ[REJ_DUPLICATE][lo:lo + 4])
+                rej.extend(LEAF_REJ["duplicate"][lo:lo + 4])
                 continue
         if abs(res6) > branch_residual_tol * sc6:
-            rej.extend(LEAF_REJ[REJ_EQ_RESIDUAL][lo:lo + 4])
+            rej.extend(LEAF_REJ["unsquared_residual"][lo:lo + 4])
             continue
         r6 = sgn6 * r6_mag
         q6 = math.atan2(r6, t6 - a_wr)
@@ -805,12 +799,12 @@ def ik_solve_core(links, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
         # parallel test of reduce_pose_core
         den = d_sc * sq * t6
         if abs(t6) < tol_len or den == 0.0:
-            rej.extend(LEAF_REJ[REJ_Q8_DEGENERATE][lo:lo + 4])
+            rej.extend(LEAF_REJ["q8_degenerate"][lo:lo + 4])
             continue
         xv = a_wr * t6 - k - d_sc * r6 * cq
         cq8 = -xv / den
         if abs(cq8) > 1.0 + sin_domain_tol:
-            rej.extend(LEAF_REJ[REJ_COS_DOMAIN][lo:lo + 4])
+            rej.extend(LEAF_REJ["cos_domain"][lo:lo + 4])
             continue
         if cq8 > 1.0:
             cq8 = 1.0
@@ -827,7 +821,7 @@ def ik_solve_core(links, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
                 best_res = rr
                 s8 = cand
         if best_res > ARM_EQ_TOL:
-            rej.extend(LEAF_REJ[REJ_ARM_EQ_MISMATCH][lo:lo + 4])
+            rej.extend(LEAF_REJ["arm_equation_mismatch"][lo:lo + 4])
             continue
         q8 = math.atan2(s8 * sq8_mag, cq8)
 
@@ -871,7 +865,7 @@ def ik_solve_core(links, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
         n2 = s6x * s6x + s6y * s6y + s6z * s6z
         carg = (n2 - d_ew * d_ew - d_se * d_se) / (2.0 * d_se * d_ew)
         if abs(carg) > 1.0 + sin_domain_tol:
-            rej.extend(LEAF_REJ[REJ_UNREACHABLE][lo:lo + 4])
+            rej.extend(LEAF_REJ["unreachable"][lo:lo + 4])
             continue
         if carg > 1.0:
             carg = 1.0
@@ -893,10 +887,10 @@ def ik_solve_core(links, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
             base = lo + (0 if s4i > 0 else 2)
             q4 = s4i * q4a
             if abs(a1) < ELBOW_TOL and abs(a2) < ELBOW_TOL:
-                rej.extend(LEAF_REJ[REJ_ELBOW_DEGENERATE][base:base + 2])
+                rej.extend(LEAF_REJ["elbow_degenerate"][base:base + 2])
                 continue
             if abs(cons) > SHOULDER_CONSISTENCY_TOL:
-                rej.extend(LEAF_REJ[REJ_CONSISTENCY][base:base + 2])
+                rej.extend(LEAF_REJ["shoulder_consistency"][base:base + 2])
                 continue
             q5 = math.atan2(s4i * a1, s4i * a2)
             u4 = wrap_angle(q4 - delta[3])
@@ -910,7 +904,7 @@ def ik_solve_core(links, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
             r32 = R03[7]
             r33 = R03[8]
             if abs(r33) >= 1.0 - WRIST_TOL:
-                rej.extend(LEAF_REJ[REJ_WRIST_DEGENERATE][base:base + 2])
+                rej.extend(LEAF_REJ["wrist_degenerate"][base:base + 2])
                 continue
             ac2 = math.acos(max(-1.0, min(1.0, r33)))
             for s2i in (1, -1):
@@ -930,12 +924,17 @@ def ik_solve_core(links, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
                 perr = (rot_geodesic(Rb, R07)
                         + math.sqrt(dx * dx + dy * dy + dz * dz))
                 if perr > pose_tol:
-                    rej.append((leaf, REJ_POSE_MISMATCH))
+                    rej.append(LEAF_REJ["pose_mismatch"][leaf])
                     continue
-                psi_b, pst = arm_dihedral(Sb, Eb, Cb, (Rb[2], Rb[5], Rb[8]),
-                                          tol_len, tol_parallel)
-                if pst != OK or abs(wrap_angle(psi_b - psi)) > psi_tol:
-                    rej.append((leaf, REJ_PSI_MISMATCH))
+                try:
+                    psi_b = arm_dihedral(Sb, Eb, Cb, (Rb[2], Rb[5], Rb[8]), tol_len,
+                                         tol_parallel)
+                except (ZeroSC, AxisParallel, DegenerateArm):
+                    # an undefined arm angle matches no psi
+                    rej.append(LEAF_REJ["psi_mismatch"][leaf])
+                    continue
+                if abs(wrap_angle(psi_b - psi)) > psi_tol:
+                    rej.append(LEAF_REJ["psi_mismatch"][leaf])
                     continue
                 dup = False
                 for br in acc:
@@ -949,7 +948,7 @@ def ik_solve_core(links, delta, d_se, d_ew, a_wr, R07, p07, d_sc, q, al, psi,
                         dup = True
                         break
                 if dup:
-                    rej.append((leaf, REJ_DUPLICATE))
+                    rej.append(LEAF_REJ["duplicate"][leaf])
                     continue
                 acc.append((qu, slot, t6, r6, q8, s4i, s2i, arm_eq_res,
                             pose_eq_res, perr))

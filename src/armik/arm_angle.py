@@ -14,22 +14,10 @@ rotation carries solutions back.
 from dataclasses import dataclass
 import math
 
-from .errors import (
-    AxisParallel,
-    DegenerateArm,
-    InvalidInput,
-    ZeroSC,
-)
+from .errors import InvalidInput
 from .robot import Transform, _joint_floats, _vec
-from ._kernels import active as _K
-from ._kernels_impl import (
-    ERR_AXIS_PARALLEL,
-    ERR_DEGENERATE_ARM,
-    ERR_ZERO_SC,
-    OK,
-    TOL_LEN,
-    TOL_PARALLEL,
-)
+from . import _kernels_impl as _K
+from ._kernels_impl import TOL_LEN, TOL_PARALLEL
 
 # arm_angle_points rescales points beyond this: their squares may overflow
 _SQUARES_SAFE = 1e150
@@ -42,18 +30,15 @@ def arm_angle(params, joints):
     tool z-axis is parallel to SC, DegenerateArm when the elbow lies on
     the SC line.
     """
-    q = _joint_floats(joints)
-    psi, status = _K.arm_angle_core(params._links, q, TOL_LEN, TOL_PARALLEL)
-    if status == OK:
-        return psi
-    _raise_arm_status(status)
+    return _K.arm_angle_core(params._links, _joint_floats(joints), TOL_LEN, TOL_PARALLEL)
 
 
 def arm_angle_points(shoulder, elbow, axis7_center, tool_z):
     """Arm angle from the raw geometric inputs.
 
-    Raises InvalidInput unless each input is 3 finite numbers. Huge points are
-    scaled by a power of two first, and TOL_LEN applies to the scaled points.
+    Raises InvalidInput unless each input is 3 finite numbers, and ZeroSC,
+    AxisParallel or DegenerateArm as arm_angle does. Huge points are scaled
+    by a power of two first, and TOL_LEN applies to the scaled points.
     """
     S = _vec(shoulder, 3, "shoulder")
     E = _vec(elbow, 3, "elbow")
@@ -64,20 +49,7 @@ def arm_angle_points(shoulder, elbow, axis7_center, tool_z):
         raise InvalidInput("tool z direction has zero length")
     if (m := max(map(abs, S + E + C))) > _SQUARES_SAFE:
         S, E, C = ([math.ldexp(v, -math.frexp(m)[1]) for v in P] for P in (S, E, C))
-    psi, status = _K.arm_dihedral(S, E, C, [v / nz for v in z], TOL_LEN, TOL_PARALLEL)
-    if status == OK:
-        return float(psi)
-    _raise_arm_status(status)
-
-
-def _raise_arm_status(status):
-    if status == ERR_ZERO_SC:
-        raise ZeroSC("axis-7 center coincides with the shoulder")
-    if status == ERR_DEGENERATE_ARM:
-        raise DegenerateArm("elbow lies on the SC line, arm angle undefined")
-    if status == ERR_AXIS_PARALLEL:
-        raise AxisParallel("tool z-axis is parallel to the SC line")
-    raise RuntimeError(f"unexpected kernel status {status}")
+    return _K.arm_dihedral(S, E, C, [v / nz for v in z], TOL_LEN, TOL_PARALLEL)
 
 
 @dataclass
@@ -106,16 +78,8 @@ def reduce_pose(params, pose, tol_len=TOL_LEN, tol_parallel=TOL_PARALLEL):
     """
     if not isinstance(pose, Transform):
         raise InvalidInput("pose must be a Transform")
-    d_sc, q, al, A, status = _K.reduce_pose_core(
-        pose._rot, pose._pos, params.d_bs, tol_len, tol_parallel
-    )
-    if status == ERR_ZERO_SC:
-        raise ZeroSC("axis-7 center coincides with the shoulder")
-    if status == ERR_AXIS_PARALLEL:
-        raise AxisParallel(
-            "tool z-axis is parallel to the shoulder-to-axis7 line"
-        )
-    return ReducedPose(d_sc, q, al, A)
+    return ReducedPose(*_K.reduce_pose_core(pose._rot, pose._pos, params.d_bs, tol_len,
+                                            tol_parallel))
 
 
 def special_pose(params, d_sc, q, al):

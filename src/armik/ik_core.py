@@ -13,9 +13,9 @@ recorded with a rejection reason, never silently dropped.
 
 The branch math lives in one place, the kernel ik_solve_core, which works
 in the solver's internal joint coordinates (zero offsets) and returns
-joints in the user coordinates declared by the parameter table. solve()
-validates the request, reduces the pose, runs the kernel and assembles its
-output into branch and rejection records.
+joints in the user coordinates declared by the parameter table, with its
+rejected leaves as shared RejectedBranch records. solve() validates the
+request, reduces the pose, runs the kernel and assembles its branches.
 """
 
 from dataclasses import dataclass
@@ -24,51 +24,16 @@ import math
 from .errors import InvalidInput
 from .robot import JointConfig, RobotParams, Transform
 from .arm_angle import reduce_pose
-from ._kernels import active as _K
+from . import _kernels_impl as _K
 from ._kernels_impl import (
     ANGLE_MERGE_TOL, BRANCH_RESIDUAL_TOL, COMPLEX_PAIR_TOL, DEGREE_TOL, POSE_TOL, PSI_TOL,
-    ROOT_MERGE_TOL, SIN_DOMAIN_TOL, TOL_LEN, TOL_PARALLEL,
+    REASONS, ROOT_MERGE_TOL, SIN_DOMAIN_TOL, TOL_LEN, TOL_PARALLEL,
 )
+from ._kernels_impl import RejectedBranch, leaf_label  # re-exported by armik
 
-REASON_NAMES = {
-    1: "complex_root",
-    2: "cos_domain",
-    3: "unsquared_residual",
-    4: "q8_degenerate",
-    5: "arm_equation_mismatch",
-    6: "unreachable",
-    7: "elbow_degenerate",
-    8: "shoulder_consistency",
-    9: "wrist_degenerate",
-    10: "pose_mismatch",
-    11: "psi_mismatch",
-    12: "duplicate",
-    13: "quartic_identically_zero",
-}
-
-REASON_CATEGORY = {
-    "complex_root": "complex_root",
-    "cos_domain": "domain",
-    "unsquared_residual": "residual",
-    "q8_degenerate": "degeneracy",
-    "arm_equation_mismatch": "residual",
-    "unreachable": "domain",
-    "elbow_degenerate": "degeneracy",
-    "shoulder_consistency": "residual",
-    "wrist_degenerate": "degeneracy",
-    "pose_mismatch": "residual",
-    "psi_mismatch": "residual",
-    "duplicate": "duplicate",
-    "quartic_identically_zero": "degeneracy",
-}
-
-
-def leaf_label(leaf):
-    """Human-readable branch label for a leaf index 0..15."""
-    slot = leaf // 4
-    q4s = "+" if (leaf % 4) < 2 else "-"
-    q2s = "+" if (leaf % 2) == 0 else "-"
-    return f"root{slot}/q4{q4s}/q2{q2s}"
+# rejection code -> reason, and reason -> category, from the kernel's table
+REASON_NAMES = {code: reason for code, (reason, _) in enumerate(REASONS, 1)}
+REASON_CATEGORY = dict(REASONS)
 
 
 @dataclass(frozen=True)
@@ -120,23 +85,6 @@ class IkBranch:
         return f"root{self.root_index}/q4{q4s}/q2{q2s}"
 
 
-@dataclass(frozen=True)
-class RejectedBranch:
-    """A candidate leaf that was ruled out, with the reason."""
-
-    label: str
-    leaf: int
-    reason: str
-    category: str
-
-
-# (leaf, kernel rejection code) -> its record; every solve shares these
-_REJECTED = {
-    (leaf, code): RejectedBranch(leaf_label(leaf), leaf, name, REASON_CATEGORY[name])
-    for leaf in range(16) for code, name in REASON_NAMES.items()
-}
-
-
 @dataclass
 class SolutionSet:
     """All accepted branches plus the rejection table (16 leaves total)."""
@@ -184,33 +132,6 @@ def _check_fields(pose, psi, params, tolerances):
     return _K.wrap_angle(psi)
 
 
-def _run_kernel(params, R07, p07, d_sc, q, al, psi, tol):
-    # R07: the pose rotation as a row-major 9-tuple, p07: its translation
-    return _K.ik_solve_core(
-        params._links,
-        params._delta,
-        params.d_se,
-        params.d_ew,
-        params.a_wr,
-        R07,
-        p07,
-        d_sc,
-        q,
-        al,
-        psi,
-        tol.pose_tol,
-        tol.angle_merge_tol,
-        tol.branch_residual_tol,
-        tol.sin_domain_tol,
-        tol.psi_tol,
-        tol.tol_len,
-        tol.tol_parallel,
-        tol.degree_tol,
-        tol.root_merge_tol,
-        tol.complex_accept,
-    )
-
-
 def _verified_joints(qu):
     # the kernel's joint tuples are finite and FK-verified, so they become
     # the floats of a JointConfig without the checks of its __post_init__
@@ -226,7 +147,7 @@ def _assemble(kout):
                  arm_res, pose_res)
         for qu, slot, t6, r6, q8, s4, s2, arm_res, pose_res, perr in accepted
     ]
-    return SolutionSet(branches=branches, rejected=list(map(_REJECTED.__getitem__, rej)))
+    return SolutionSet(branches=branches, rejected=rej)
 
 
 def solve(request):
@@ -252,5 +173,5 @@ def solve(request):
     ):
         psi = _check_fields(pose, psi, params, tol)
     rp = reduce_pose(params, pose, tol.tol_len, tol.tol_parallel)
-    kout = _run_kernel(params, pose._rot, pose._pos, rp.d_sc, rp.q, rp.al, psi, tol)
-    return _assemble(kout)
+    return _assemble(_K.ik_solve_core(params, tol, pose._rot, pose._pos, rp.d_sc, rp.q, rp.al,
+                                      psi))

@@ -21,7 +21,7 @@ import importlib.resources
 import sys
 
 from .errors import InvalidInput, InvalidParams, InvalidRotation
-from ._kernels import active as _K
+from . import _kernels_impl as _K
 from ._kernels_impl import BASE_OFFSETS, PARAMS_STRUCTURE_TOL, ROT_TOL, link_table
 
 # canonical chain structure: alpha and a columns are fixed by the geometry,

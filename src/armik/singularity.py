@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .robot import _joint_floats, forward_kinematics, frame_points
-from ._kernels import active as _K
+from . import _kernels_impl as _K
 from ._kernels_impl import HIT_TOL, HIT_TOL_M, SC_LEN_TOL
 
 

@@ -273,14 +273,12 @@ def check_all(params, n=500, seed=0):
     quartic_dev = 0.0
     for _ in range(n):
         g = rng.uniform(-10.0, 10.0, size=5)
-        roots = [0.0] * 4
-        count, _ = solve_quartic_core(*g, DEGREE_TOL, ROOT_MERGE_TOL, COMPLEX_PAIR_TOL,
-                                      roots, [0] * 4)
+        count, roots, _ = solve_quartic_core(*g, DEGREE_TOL, ROOT_MERGE_TOL, COMPLEX_PAIR_TOL)
         ro, _ = quartic_oracle(g)
         if count != ro.shape[0]:
             quartic_dev = math.inf
         elif count:
-            quartic_dev = max(quartic_dev, np.abs(np.array(roots[:count]) - ro).max())
+            quartic_dev = max(quartic_dev, np.abs(np.array(roots) - ro).max())
     detail["quartic_max_dev"] = quartic_dev
 
     n_rt = min(n, 200)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from armik import classify, default_params
-from armik._kernels import active as K
+from armik import _kernels_impl as K
 from armik._kernels_impl import COMPLEX_PAIR_TOL, DEGREE_TOL, ROOT_MERGE_TOL
 
 
@@ -35,13 +35,11 @@ def singular_distance(q, params):
 
 
 def quartic_roots(coeffs):
-    """(status, roots, multiplicities) of the kernel's quartic solver at the
-    default tolerances; the coefficients go in as numpy float64 scalars."""
-    roots, mult = [0.0] * 4, [0] * 4
-    count, status = K.solve_quartic_core(
-        *np.asarray(coeffs, dtype=float), DEGREE_TOL, ROOT_MERGE_TOL, COMPLEX_PAIR_TOL,
-        roots, mult)
-    return status, np.array(roots[:count]), np.array(mult[:count])
+    """(roots, multiplicities) of the kernel's quartic solver at the default
+    tolerances; the coefficients go in as numpy float64 scalars."""
+    _, roots, mult = K.solve_quartic_core(
+        *np.asarray(coeffs, dtype=float), DEGREE_TOL, ROOT_MERGE_TOL, COMPLEX_PAIR_TOL)
+    return np.array(roots), np.array(mult)
 
 
 def sample_far_joints(rng, params, margin=5e-2):

@@ -28,9 +28,9 @@ from armik import (
     reduce_pose,
     solve,
 )
-from armik._kernels import active as K
+from armik import _kernels_impl as K
 from armik.errors import ArmikError
-from armik.ik_core import DEFAULT_TOLERANCES, _run_kernel
+from armik.ik_core import DEFAULT_TOLERANCES
 from conftest import family_sample, quartic_roots, sample_far_joints, singular_distance
 
 FAMILIES = (
@@ -228,7 +228,7 @@ def test_criterion_4_quartic_oracle_equivalence():
     mismatches = 0
     worst = 0.0
     for c in C:
-        _, mine, _ = quartic_roots(c)
+        mine, _ = quartic_roots(c)
         theirs, _ = quartic_oracle(c)
         if len(mine) != len(theirs):
             mismatches += 1
@@ -398,12 +398,11 @@ def _latency_requests(params, n, seed):
 
 
 def _kernel_solve(params, R, p, psi, tol):
-    d_sc, q, al, _, status = K.reduce_pose_core(
-        R, p, params.d_bs, tol.tol_len, tol.tol_parallel
-    )
-    if status != 0:
+    try:
+        d_sc, q, al, _ = K.reduce_pose_core(R, p, params.d_bs, tol.tol_len, tol.tol_parallel)
+    except ArmikError:
         return None
-    return _run_kernel(params, R, p, d_sc, q, al, psi, tol)
+    return K.ik_solve_core(params, tol, R, p, d_sc, q, al, psi)
 
 
 def test_criterion_6_determinism_and_latency(params):

@@ -6,9 +6,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from armik import (
+    AllCoefficientsZero,
+    ArmikError,
     AxisParallel,
     DegenerateArm,
     InvalidInput,
+    RobotParams,
     ZeroSC,
     arm_angle,
     arm_angle_points,
@@ -20,7 +23,7 @@ from armik import (
     IkRequest,
     Transform,
 )
-from conftest import sample_far_joints
+from conftest import quartic_roots, sample_far_joints
 
 
 def _wrap(a):
@@ -108,6 +111,47 @@ def test_arm_angle_point_degeneracies():
     on_line = S + 0.6 * (C - S)
     with pytest.raises(DegenerateArm):
         arm_angle_points(S, on_line, C, np.array([1.0, 0.0, 0.0]))
+
+
+ZERO_SC = (ZeroSC, "zero_sc", "axis-7 center coincides with the shoulder")
+AXIS_PARALLEL = (AxisParallel, "axis_parallel", "tool z-axis is parallel to the SC line")
+DEGENERATE_ARM = (DegenerateArm, "degenerate_arm", "elbow lies on the SC line, arm angle undefined")
+# numeric IK of a pose whose tool z-axis points along SC
+Q_AXIS_PARALLEL = [2.574184913685994, -1.004659252758658, -1.5707963267948963, -1.4760407554676225,
+                   1.5707963267948968, -2.4807000082262802, -0.2674077399037996]
+# elbow straight (q4 = 0) with q6 = 0: the elbow lies on SC
+Q_ELBOW_ON_SC = [-math.pi / 2, 2.08, -2.99, 0.0, -0.99, 0.0, 2.61]
+# d_se = d_ew and no wrist offset: folding the elbow (q4 = pi) puts C on S
+FOLDING = RobotParams(d_bs=0.36, d_se=0.4, d_ew=0.4, a_wr=0.0)
+S0, C0, X, Z = [0.0, 0.0, 0.3], [0.0, 0.0, 0.9], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "call, want",
+    [
+        (lambda p: reduce_pose(p, special_pose(p, 0.0, -0.7, 0.3)), ZERO_SC),
+        (lambda p: reduce_pose(p, special_pose(p, 0.5, 0.0, 0.3)),
+         (AxisParallel, "axis_parallel", "tool z-axis is parallel to the shoulder-to-axis7 line")),
+        (lambda p: arm_angle(FOLDING, [0.0, 0.0, 0.0, math.pi, 0.0, 0.0, 0.0]), ZERO_SC),
+        (lambda p: arm_angle(p, Q_AXIS_PARALLEL), AXIS_PARALLEL),
+        (lambda p: arm_angle(p, Q_ELBOW_ON_SC), DEGENERATE_ARM),
+        (lambda p: arm_angle_points(S0, [0.3, 0.0, 0.5], S0, X), ZERO_SC),
+        (lambda p: arm_angle_points(S0, [0.3, 0.0, 0.5], C0, Z), AXIS_PARALLEL),
+        (lambda p: arm_angle_points(S0, S0, C0, X), DEGENERATE_ARM),
+        (lambda p: arm_angle_points(S0, [0.0, 0.0, 0.66], C0, X), DEGENERATE_ARM),
+        (lambda p: quartic_roots([0.0] * 5),
+         (AllCoefficientsZero, "all_coefficients_zero", "polynomial is identically zero")),
+    ],
+    ids=["reduce_pose-zero_sc", "reduce_pose-axis_parallel", "arm_angle-zero_sc",
+         "arm_angle-axis_parallel", "arm_angle-elbow_on_sc", "points-zero_sc",
+         "points-axis_parallel", "points-elbow_at_shoulder", "points-elbow_on_sc",
+         "quartic-all_zero"],
+)
+def test_kernel_errors_keep_type_tag_and_message(params, call, want):
+    # every error a kernel raises, through each caller, as (type, tag, message)
+    with pytest.raises(ArmikError) as info:
+        call(params)
+    assert (type(info.value), info.value.tag, str(info.value)) == want
 
 
 @pytest.mark.parametrize(

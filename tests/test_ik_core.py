@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from armik import (
     AxisParallel,
+    DegenerateArm,
     IkRequest,
     InvalidInput,
     REASON_CATEGORY,
@@ -25,8 +26,8 @@ from armik import (
     solve,
     special_pose,
 )
-from armik.ik_core import DEFAULT_TOLERANCES, _REJECTED
-from armik._kernels import active as K
+from armik.ik_core import DEFAULT_TOLERANCES
+from armik import _kernels_impl as K
 from conftest import family_sample, sample_far_joints
 
 
@@ -119,10 +120,11 @@ def test_tolerances_and_rejections_are_immutable(params):
 
 
 def test_rejection_table_matches_reason_vocabulary():
-    assert len(_REJECTED) == 16 * len(REASON_NAMES)
-    for (leaf, code), rec in _REJECTED.items():
-        name = REASON_NAMES[code]
-        assert rec == RejectedBranch(leaf_label(leaf), leaf, name, REASON_CATEGORY[name])
+    # one tuple of 16 shared records per reason, in code order
+    assert list(K.LEAF_REJ) == list(REASON_NAMES.values())
+    for name, records in K.LEAF_REJ.items():
+        assert records == tuple(RejectedBranch(leaf_label(leaf), leaf, name, REASON_CATEGORY[name])
+                                for leaf in range(16))
 
 
 @pytest.mark.parametrize(
@@ -308,9 +310,8 @@ def test_u6_cos_domain_site_is_reached_through_solve(params):
     rp = reduce_pose(params, pose)
     g = _quartic_setup(rp.d_sc, rp.q, psi, params)[5:]
     tol = DEFAULT_TOLERANCES
-    roots, mults = [0.0] * 4, [0] * 4
-    K.solve_quartic_core(*g, tol.degree_tol, tol.root_merge_tol, tol.complex_accept,
-                         roots, mults)
+    _, roots, mults = K.solve_quartic_core(*g, tol.degree_tol, tol.root_merge_tol,
+                                           tol.complex_accept)
     assert mults[0] == 2
     assert (roots[0] - params.a_wr) / params.d_ew < -1.05
     res = solve(IkRequest(pose=pose, psi=psi, params=params))
@@ -370,6 +371,41 @@ def test_kernel_calls_the_helpers_perfbench_traces(params, monkeypatch):
                          "arm_dihedral": past_pose, "solve_quartic_core": 1}
         verified += reached
     assert verified >= 16
+
+
+def test_zero_quartic_gives_the_shared_records(params, monkeypatch):
+    # no pose makes the quartic identically zero; zeroing its coefficients
+    # reaches the kernel's AllCoefficientsZero handler through solve
+    setup = K.quartic_setup_core
+    monkeypatch.setattr(K, "quartic_setup_core", lambda *args: setup(*args)[:5] + (0.0,) * 5)
+    res = solve(IkRequest(pose=special_pose(params, 0.5, -0.7, 0.3), psi=0.3, params=params))
+    assert not res.branches
+    want = K.LEAF_REJ["quartic_identically_zero"]
+    assert len(res.rejected) == 16
+    assert all(got is rec for got, rec in zip(res.rejected, want))
+
+
+@pytest.mark.parametrize("error", [ZeroSC, AxisParallel, DegenerateArm])
+def test_undefined_branch_arm_angle_is_psi_mismatch(params, monkeypatch, error):
+    # a leaf whose arm angle cannot be measured matches no psi: every leaf
+    # that reaches arm_dihedral becomes psi_mismatch, and the rest keep
+    # their records
+    q0 = sample_far_joints(np.random.default_rng(15), params)
+    req = IkRequest(pose=forward_kinematics(params, q0), psi=arm_angle(params, q0), params=params)
+    plain = solve(req)
+    assert plain.branches
+
+    def undefined(*args):
+        raise error("arm angle undefined")
+
+    monkeypatch.setattr(K, "arm_dihedral", undefined)
+    res = solve(req)
+    assert not res.branches
+    reached = [b.label for b in plain.branches]
+    reached += [r.label for r in plain.rejected if r.reason == "psi_mismatch"]
+    assert sorted(r.label for r in res.rejected if r.reason == "psi_mismatch") == sorted(reached)
+    assert ([r for r in res.rejected if r.reason != "psi_mismatch"]
+            == [r for r in plain.rejected if r.reason != "psi_mismatch"])
 
 
 def test_solve_recovers_generating_joints(params):

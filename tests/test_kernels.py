@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from armik._kernels import active as K
+from armik import _kernels_impl as K
 from armik._kernels_impl import link_table
 
 

@@ -23,7 +23,7 @@ from armik import (
     solve,
 )
 from armik.robot import check_rotation
-from armik._kernels import active as _K
+from armik import _kernels_impl as _K
 from armik.verify import _quat_to_mat
 
 

@@ -19,7 +19,6 @@ from armik import (
     solve,
 )
 from armik.verify import _quat_to_mat
-from armik._kernels_impl import ERR_ALL_COEFFS_ZERO
 from conftest import quartic_roots, sample_far_joints
 
 
@@ -91,10 +90,11 @@ def test_quartic_oracle_examples():
     # the analytical solver agrees on both degenerate inputs
     with pytest.raises(AllCoefficientsZero):
         quartic_oracle([0.0, 0.0, 0.0, 0.0, 0.0])
-    assert quartic_roots([0.0, 0.0, 0.0, 0.0, 0.0])[0] == ERR_ALL_COEFFS_ZERO
+    with pytest.raises(AllCoefficientsZero):
+        quartic_roots([0.0, 0.0, 0.0, 0.0, 0.0])
     roots, mult = quartic_oracle([0.0, 0.0, 0.0, 0.0, 5.0])
     assert len(roots) == 0 and len(mult) == 0
-    assert len(quartic_roots([0.0, 0.0, 0.0, 0.0, 5.0])[1]) == 0
+    assert len(quartic_roots([0.0, 0.0, 0.0, 0.0, 5.0])[0]) == 0
 
 
 def test_numeric_ik_fixed_point(params):
