@@ -398,7 +398,11 @@ def solve_quartic_core(g4, g3, g2, g1, g0, degree_tol, root_merge_tol, complex_a
             # resolvent m^3 + p m^2 + (p^2/4 - r) m - q^2/8 = 0; largest root
             m = solve_cubic_monic(p, 0.25 * p * p - r, -q * q / 8.0)[-1]
             s2 = 2.0 * m
-            if s2 <= BIQUAD_S2_TOL * (1.0 + abs(p) + math.sqrt(abs(r))) ** 2:
+            try:
+                s2_cut = BIQUAD_S2_TOL * (1.0 + abs(p) + math.sqrt(abs(r))) ** 2
+            except OverflowError:  # the square is beyond the float range
+                s2_cut = math.inf
+            if s2 <= s2_cut:
                 use_biquad = True
         if use_biquad:
             # y^4 + p y^2 + r = 0

@@ -13,17 +13,10 @@ import math
 import sys
 
 from .errors import ArmikError, InvalidInput, InvalidRotation
-from .robot import (
-    JointConfig,
-    Transform,
-    _read_floats,
-    default_params,
-    forward_kinematics,
-    frame_points,
-    load_params,
-)
+from .robot import JointConfig, Transform, _read_floats, default_params, load_params
 from .arm_angle import arm_angle
 from .ik_core import IkRequest, SolutionSet, solve
+from . import _kernels_impl as _K
 from ._kernels_impl import HIT_TOL, HIT_TOL_M, QUAT_NORM_TOL
 
 # tags that indicate malformed input rather than a degenerate-but-valid request
@@ -64,11 +57,6 @@ def _fmt(obj):
         return "{" + ",".join(json.dumps(str(k)) + ":" + _fmt(v) for k, v in obj.items()) + "}"
     if isinstance(obj, SolutionSet):
         return _fmt_solution_set(obj)
-    np = sys.modules.get("numpy")  # numpy values exist only once numpy is imported
-    if np is not None and isinstance(obj, np.ndarray):
-        return _fmt(obj.tolist())
-    if np is not None and isinstance(obj, (np.floating, np.integer)):
-        return _fmt(float(obj) if isinstance(obj, np.floating) else int(obj))
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -159,16 +147,10 @@ def _cmd_ik(params, item):
 
 def _cmd_fk(params, item):
     joints = _get_joints(item)
-    t = forward_kinematics(params, joints)
-    pts = frame_points(params, joints)
+    R, p, S, E, W = _K.fk_chain(params._links, joints._q)
     out = {
-        "pose": {"position": t.translation, "rotation": t.rotation},
-        "frame_points": {
-            "shoulder": pts.shoulder,
-            "elbow": pts.elbow,
-            "wrist": pts.wrist,
-            "axis7": pts.axis7,
-        },
+        "pose": {"position": p, "rotation": (R[0:3], R[3:6], R[6:9])},
+        "frame_points": {"shoulder": S, "elbow": E, "wrist": W, "axis7": p},
     }
     try:
         out["psi"] = arm_angle(params, joints)
@@ -223,23 +205,23 @@ def _cmd_sweep(params, item):
     if not math.isfinite(stop - start):
         raise InvalidInput("sweep 'start' and 'stop' must be finite, with a finite span")
     import numpy as np
-    grid = np.linspace(start, stop, count)
+    grid = np.linspace(start, stop, count).tolist()
     results = []
     for psi in grid:
         try:
-            res = solve(IkRequest(pose=pose, psi=float(psi), params=params))
+            res = solve(IkRequest(pose=pose, psi=psi, params=params))
             results.append(
                 {
-                    "psi": float(psi),
+                    "psi": psi,
                     "count": len(res.branches),
                     "branches": [
-                        {"label": b.label, "joints": b.joints.q} for b in res.branches
+                        {"label": b.label, "joints": b.joints._q} for b in res.branches
                     ],
                     "rejected_count": len(res.rejected),
                 }
             )
         except ArmikError as e:
-            results.append({"psi": float(psi), **_error_obj(e)})
+            results.append({"psi": psi, **_error_obj(e)})
     return {"psi_grid": grid, "results": results}
 
 

@@ -29,11 +29,13 @@ from ._kernels_impl import (
     ANGLE_MERGE_TOL, BRANCH_RESIDUAL_TOL, COMPLEX_PAIR_TOL, DEGREE_TOL, POSE_TOL, PSI_TOL,
     REASONS, ROOT_MERGE_TOL, SIN_DOMAIN_TOL, TOL_LEN, TOL_PARALLEL,
 )
-from ._kernels_impl import RejectedBranch, leaf_label  # re-exported by armik
+from ._kernels_impl import RejectedBranch, leaf_label
 
 # rejection code -> reason, and reason -> category, from the kernel's table
 REASON_NAMES = {code: reason for code, (reason, _) in enumerate(REASONS, 1)}
 REASON_CATEGORY = dict(REASONS)
+# the labels of the 16 leaves, in leaf order
+_LEAF_LABELS = tuple(map(leaf_label, range(16)))
 
 
 @dataclass(frozen=True)
@@ -80,9 +82,8 @@ class IkBranch:
 
     @property
     def label(self):
-        q4s = "+" if self.q4_sign > 0 else "-"
-        q2s = "+" if self.q2_sign > 0 else "-"
-        return f"root{self.root_index}/q4{q4s}/q2{q2s}"
+        # the kernel's leaf number: 4 per root slot, 2 per elbow sign, 1 per shoulder sign
+        return _LEAF_LABELS[4 * self.root_index + 2 * (self.q4_sign < 0) + (self.q2_sign < 0)]
 
 
 @dataclass

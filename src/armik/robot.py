@@ -77,8 +77,9 @@ def _vec(x, n, name):
     return v
 
 
-def check_rotation(R, tol=ROT_TOL, floats=False):
-    """Validate that R is a proper rotation within tol. Returns a (3,3) array."""
+def check_rotation(R):
+    """Validate that R is a proper rotation within ROT_TOL. Returns its
+    entries as a row-major 9-tuple of floats."""
     try:
         shape, flat = _read_floats(R)
     except (TypeError, ValueError, OverflowError):
@@ -91,13 +92,12 @@ def check_rotation(R, tol=ROT_TOL, floats=False):
     err = max(abs(a * a + b * b + c * c - 1.0), abs(d * d + e * e + f * f - 1.0),
               abs(g * g + h * h + i * i - 1.0), abs(a * d + b * e + c * f),
               abs(a * g + b * h + c * i), abs(d * g + e * h + f * i))
-    if err > tol:
+    if err > ROT_TOL:
         raise InvalidRotation(f"rotation is not orthonormal (deviation {err:.3e})")
     det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    if abs(det - 1.0) > tol:
+    if abs(det - 1.0) > ROT_TOL:
         raise InvalidRotation(f"rotation determinant is {det:.12f}, expected +1")
-    # with floats=True: the row-major 9-tuple that Transform keeps
-    return tuple(flat) if floats else _array(flat, True, (3, 3))
+    return tuple(flat)
 
 
 def _array(floats, writeable=True, shape=None):
@@ -120,7 +120,7 @@ class Transform:
     __slots__ = ("_rot", "_pos", "_arrays")
 
     def __init__(self, rotation, translation):
-        self._rot = check_rotation(rotation, floats=True)
+        self._rot = check_rotation(rotation)
         self._pos = tuple(_vec(translation, 3, "translation"))
         self._arrays = None
 
@@ -150,38 +150,6 @@ class Transform:
 
     def __repr__(self):
         return f"Transform(rotation={self.rotation!r}, translation={self.translation!r})"
-
-    @classmethod
-    def identity(cls):
-        return cls(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), (0.0, 0.0, 0.0))
-
-    @classmethod
-    def from_matrix(cls, T):
-        try:
-            shape, m = _read_floats(T)
-        except (TypeError, ValueError, OverflowError):
-            raise InvalidInput("homogeneous matrix entries must be numbers") from None
-        if shape != (4, 4):
-            raise InvalidInput(f"homogeneous matrix must be 4x4, got {shape}")
-        return cls((m[0:3], m[4:7], m[8:11]), m[3:12:4])
-
-    @property
-    def matrix(self):
-        (a, b, c, d, e, f, g, h, i), (x, y, z) = self._rot, self._pos
-        return _array((a, b, c, x, d, e, f, y, g, h, i, z, 0.0, 0.0, 0.0, 1.0), True, (4, 4))
-
-    def compose(self, other):
-        return Transform(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
-
-    def inverse(self):
-        Rt = self.rotation.T
-        return Transform(Rt, -Rt @ self.translation)
-
-    def apply(self, point):
-        return self.rotation @ _vec(point, 3, "point") + self.translation
 
 
 class _ArrayOnRead:

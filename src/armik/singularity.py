@@ -10,8 +10,6 @@ the compound branch-fold expression is measured in meters.
 from dataclasses import dataclass
 import math
 
-import numpy as np
-
 from .robot import _joint_floats, forward_kinematics, frame_points
 from . import _kernels_impl as _K
 from ._kernels_impl import HIT_TOL, HIT_TOL_M, SC_LEN_TOL
@@ -44,8 +42,9 @@ def classify(joints, params, hit_tol=HIT_TOL, hit_tol_m=HIT_TOL_M,
     component distances; a hit needs distance < hit_tol (angles, rad) or
     < hit_tol_m for the meter-valued branch-fold expression.
     """
-    qu = np.array(_joint_floats(joints))
-    qp = np.array([_K.wrap_angle(v) for v in (qu + params.delta)])
+    import numpy as np
+    qu = _joint_floats(joints)
+    qp = [_K.wrap_angle(u + d) for u, d in zip(qu, params._delta)]
     q6_star = math.acos(-params.a_wr / params.d_ew)
 
     d_q4 = _dist_to(qp[3], (0.0, math.pi))
@@ -123,6 +122,7 @@ def numeric_jacobian(joints, params, h=1e-5):
     Rows 0..2: linear velocity of the frame origin; rows 3..5: angular
     velocity, both in base coordinates.
     """
+    import numpy as np
     q = np.array(_joint_floats(joints))
     R0 = forward_kinematics(params, q).rotation
     J = np.empty((6, 7))

@@ -265,8 +265,8 @@ def check_all(params, n=500, seed=0):
         t = forward_kinematics(params, Q[i])
         fk_dev = max(
             fk_dev,
-            np.abs(t.rotation - Ro[i]).max(),
-            np.abs(t.translation - po[i]).max(),
+            float(np.abs(t.rotation - Ro[i]).max()),
+            float(np.abs(t.translation - po[i]).max()),
         )
     detail["fk_max_dev"] = fk_dev
 
@@ -278,7 +278,7 @@ def check_all(params, n=500, seed=0):
         if count != ro.shape[0]:
             quartic_dev = math.inf
         elif count:
-            quartic_dev = max(quartic_dev, np.abs(np.array(roots) - ro).max())
+            quartic_dev = max(quartic_dev, float(np.abs(np.array(roots) - ro).max()))
     detail["quartic_max_dev"] = quartic_dev
 
     n_rt = min(n, 200)

@@ -19,15 +19,13 @@ from armik import (
     arm_angle,
     classify,
     default_params,
-    family_distance,
-    fk_oracle_batch,
     forward_kinematics,
     frame_points,
-    numeric_jacobian,
-    quartic_oracle,
     reduce_pose,
     solve,
 )
+from armik.singularity import family_distance, numeric_jacobian
+from armik.verify import fk_oracle_batch, quartic_oracle
 from armik import _kernels_impl as K
 from armik.errors import ArmikError
 from armik.ik_core import DEFAULT_TOLERANCES

@@ -1,4 +1,8 @@
+import re
+from pathlib import Path
+
 import armik
+from armik.arm_angle import special_pose
 from armik._kernels_impl import COMPLEX_PAIR_TOL, DEGREE_TOL, ROOT_MERGE_TOL
 
 
@@ -12,6 +16,15 @@ def test_star_import():
     ns = {}
     exec("from armik import *", ns)
     assert set(armik.__all__) <= set(ns)
+
+
+def test_public_names_are_documented():
+    # armik exports what the README names in code; BACKEND stays for perfbench
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    parts = readme.split("```")
+    code = parts[1::2] + [span for prose in parts[::2] for span in re.findall(r"`([^`]+)`", prose)]
+    named = set(re.findall(r"[A-Za-z_]\w*", " ".join(code)))
+    assert sorted(set(armik.__all__) - named - {"BACKEND"}) == []
 
 
 def test_one_kernel_module():
@@ -42,7 +55,7 @@ def test_perfbench_trace_contract(params, monkeypatch):
     reach = params.d_se + params.d_ew + params.a_wr
     for d_sc, psi in ((0.5, 0.3), (0.7, -2.0), (reach + 0.05, 0.4)):
         calls.update(dict.fromkeys(calls, 0))
-        res = armik.solve(armik.IkRequest(pose=armik.special_pose(params, d_sc, -1.3, 0.2),
+        res = armik.solve(armik.IkRequest(pose=special_pose(params, d_sc, -1.3, 0.2),
                                           psi=psi, params=params))
         assert calls == {"reduce_pose": 1, "_assemble": 1}
         assert res.rejected

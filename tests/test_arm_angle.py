@@ -14,15 +14,14 @@ from armik import (
     RobotParams,
     ZeroSC,
     arm_angle,
-    arm_angle_points,
     forward_kinematics,
     frame_points,
     reduce_pose,
     solve,
-    special_pose,
     IkRequest,
     Transform,
 )
+from armik.arm_angle import arm_angle_points, special_pose
 from conftest import quartic_roots, sample_far_joints
 
 

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from armik import arm_angle, default_params, fk_oracle, forward_kinematics
+import armik.verify
+from armik import arm_angle, default_params, forward_kinematics
+from armik.verify import fk_oracle
 from armik.cli import main
 
 
@@ -383,6 +385,33 @@ def test_check_cmd(params, capsys):
     assert rc == 0
     assert out["passed"] is True
     assert out["max_error"] < 1e-8
+
+
+def _fk_oracle_shifted(fn):
+    def shifted(params, Q):
+        R, p = fn(params, Q)
+        return R, p + 1e-9
+    return shifted
+
+
+def _quartic_oracle_shifted(fn):
+    def shifted(coeffs):
+        roots, mult = fn(coeffs)
+        return roots + 1e-6, mult
+    return shifted
+
+
+@pytest.mark.parametrize("name, wrap", [("fk_oracle_batch", _fk_oracle_shifted),
+                                        ("quartic_oracle", _quartic_oracle_shifted)])
+def test_check_cmd_reports_a_failed_comparison(capsys, monkeypatch, name, wrap):
+    # check_all's verdict and deviations must be Python values, the only
+    # ones the JSON writer serializes
+    monkeypatch.setattr(armik.verify, name, wrap(getattr(armik.verify, name)))
+    rc = main(["check", "--n", "5"])
+    text = capsys.readouterr().out
+    assert rc == 2
+    assert '"passed":false' in text
+    assert json.loads(text)["passed"] is False
 
 
 def test_module_invocation_smoke():

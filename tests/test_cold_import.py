@@ -1,7 +1,8 @@
 """A fresh process imports no numpy until it reads an array.
 
 `import armik`, the built-in parameters, a `Transform` from nested lists, a
-request, a solve and `armik ik` on a matrix pose all run on floats. The
+request, a solve, `armik ik` on a matrix pose, `armik fk` and `armik
+arm-angle` all run on floats. The
 arrays of `JointConfig.q`, `SolutionSet.joints_array()`,
 `Transform.rotation` and `RobotParams.mdh` are built when first read, with
 the same types, values and write flags as before.
@@ -43,6 +44,12 @@ with contextlib.redirect_stdout(out):
     code = armik.cli.main(["ik", "--json", json.dumps({"position": pos, "rotation": rows, "psi": psi})])
 assert code == 0 and json.loads(out.getvalue())["count"] == len(res.branches)
 no_numpy("armik ik")
+for cmd in ("fk", "arm-angle"):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = armik.cli.main([cmd, "--json", json.dumps({"joints": q0})])
+    assert code == 0 and json.loads(out.getvalue())["psi"] == psi
+    no_numpy("armik " + cmd)
 
 import numpy as np
 

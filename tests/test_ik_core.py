@@ -19,13 +19,13 @@ from armik import (
     Transform,
     ZeroSC,
     arm_angle,
-    fk_oracle,
     forward_kinematics,
-    leaf_label,
     reduce_pose,
     solve,
-    special_pose,
 )
+from armik.arm_angle import special_pose
+from armik.ik_core import leaf_label
+from armik.verify import fk_oracle
 from armik.ik_core import DEFAULT_TOLERANCES
 from armik import _kernels_impl as K
 from conftest import family_sample, sample_far_joints

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from armik import AllCoefficientsZero, quartic_oracle
+from armik import AllCoefficientsZero
+from armik.verify import quartic_oracle
 from armik import _kernels_impl as K
 from armik._kernels_impl import COMPLEX_PAIR_TOL, DEGREE_TOL, ROOT_MERGE_TOL
 from conftest import quartic_roots
@@ -93,6 +94,20 @@ def test_fuzzed_coefficients_raise_only_all_coefficients_zero():
             continue
         assert count == len(roots) == len(mult) <= sum(mult) <= 4
     assert 0 < zero < 100
+    # the same with tiny random tolerances, which a ToleranceSet may hold:
+    # the biquadratic test squares huge depressed coefficients, as here
+    count, _, _ = K.solve_quartic_core(
+        1.3190500126822497e+18, -3.0061481919055313e+23, 1e+308, -3.145180304345356e-21,
+        -1.1676053293127218e-10, 3.4394167951102114e-298, 3.1303926847980066e-08,
+        0.0927943666807005)
+    assert count <= 4
+    tols = 10.0 ** rng.uniform(-320, 0, size=(20000, 3))
+    for c, t in zip(g.tolist(), tols.tolist()):
+        try:
+            count, roots, mult = K.solve_quartic_core(*c, *t)
+        except AllCoefficientsZero:
+            continue
+        assert count == len(roots) == len(mult) <= sum(mult) <= 4
 
 
 def test_deterministic():

@@ -10,12 +10,11 @@ from armik import (
     arm_angle,
     classify,
     default_params,
-    family_distance,
     forward_kinematics,
-    numeric_jacobian,
     reduce_pose,
     solve,
 )
+from armik.singularity import family_distance, numeric_jacobian
 from conftest import family_sample, sample_far_joints
 
 # z7 aligned with the shoulder-center line: q5 at -pi/2 turns the wrist

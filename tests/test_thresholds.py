@@ -7,6 +7,7 @@ import inspect
 from pathlib import Path
 
 import armik
+import armik.verify
 from armik import _kernels_impl as T
 from armik.ik_core import ToleranceSet
 from armik.robot import check_rotation
@@ -52,7 +53,7 @@ def test_table_values():
     for name, value in TABLE.items():
         got = getattr(T, name)
         assert type(got) is float and got == value, name
-    assert armik.PSI_TOL is T.PSI_TOL
+    assert armik.ik_core.PSI_TOL is T.PSI_TOL
 
 
 def test_defaults_read_the_table():
@@ -74,12 +75,12 @@ def test_defaults_read_the_table():
         assert getattr(defaults, name) is value, name
     assert _default(armik.reduce_pose, "tol_len") is T.TOL_LEN
     assert _default(armik.reduce_pose, "tol_parallel") is T.TOL_PARALLEL
-    assert _default(check_rotation, "tol") is T.ROT_TOL
+    assert "ROT_TOL" in check_rotation.__code__.co_names
     assert _default(armik.classify, "hit_tol") is T.HIT_TOL
     assert _default(armik.classify, "hit_tol_m") is T.HIT_TOL_M
-    assert _default(armik.quartic_oracle, "degree_tol") is T.DEGREE_TOL
-    assert _default(armik.quartic_oracle, "root_merge_tol") is T.ROOT_MERGE_TOL
-    assert _default(armik.quartic_oracle, "complex_accept") is T.COMPLEX_PAIR_TOL
+    assert _default(armik.verify.quartic_oracle, "degree_tol") is T.DEGREE_TOL
+    assert _default(armik.verify.quartic_oracle, "root_merge_tol") is T.ROOT_MERGE_TOL
+    assert _default(armik.verify.quartic_oracle, "complex_accept") is T.COMPLEX_PAIR_TOL
 
 
 def _table_literals(tree):

@@ -8,16 +8,12 @@ from armik import (
     AllCoefficientsZero,
     IkRequest,
     InvalidInput,
-    NoConvergence,
     arm_angle,
-    check_all,
-    fk_oracle,
-    fk_oracle_batch,
     forward_kinematics,
-    numeric_ik,
-    quartic_oracle,
     solve,
 )
+from armik.errors import NoConvergence
+from armik.verify import check_all, fk_oracle, fk_oracle_batch, numeric_ik, quartic_oracle
 from armik.verify import _quat_to_mat
 from conftest import quartic_roots, sample_far_joints
 
