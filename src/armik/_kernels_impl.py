@@ -943,6 +943,15 @@ def ik_solve_core(params, tol, R07, p07, d_sc, q, al, psi):
                 dup = False
                 for br in acc:
                     qb = br[0]
+                    # wrap_angle is the identity on (-3, 3), so a gap there
+                    # beyond the tolerance on joint 1 or 3 (the joints that
+                    # most often tell branches apart) settles the pair
+                    d = qu[1] - qb[1]
+                    if angle_merge_tol < d < 3.0 or -3.0 < d < -angle_merge_tol:
+                        continue
+                    d = u4 - qb[3]
+                    if angle_merge_tol < d < 3.0 or -3.0 < d < -angle_merge_tol:
+                        continue
                     same = True
                     for ji in range(7):
                         if abs(wrap_angle(qu[ji] - qb[ji])) > angle_merge_tol:

@@ -10,6 +10,8 @@ with 17 significant digits so identical inputs give identical bytes.
 import argparse
 import json
 import math
+import os
+import stat
 import sys
 
 from .errors import ArmikError, InvalidInput, InvalidRotation
@@ -264,11 +266,22 @@ def _read_input(args):
 
 def _write_output(args, obj):
     text = _fmt(obj) + "\n"
-    if args.output:
-        with open(args.output, "w") as f:
-            f.write(text)
-    else:
+    if not args.output:
         sys.stdout.write(text)
+        return
+    # overwrite in place, then cut to length: truncating on open makes the
+    # file system free and allocate the file's blocks again on every call.
+    # O_BINARY (Windows only) leaves newline translation to the text layer,
+    # as open(path, "w") does
+    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+    try:
+        with open(os.open(args.output, flags, 0o666), "w") as f:
+            f.write(text)
+            # only a regular file has a length to cut: not /dev/null or a pipe
+            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                f.truncate()
+    except OSError as e:
+        raise InvalidInput(f"cannot write output: {e}") from None
 
 
 def _build_parser():

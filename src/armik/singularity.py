@@ -10,7 +10,7 @@ the compound branch-fold expression is measured in meters.
 from dataclasses import dataclass
 import math
 
-from .robot import _joint_floats, forward_kinematics, frame_points
+from .robot import _joint_floats, forward_kinematics
 from . import _kernels_impl as _K
 from ._kernels_impl import HIT_TOL, HIT_TOL_M, SC_LEN_TOL
 
@@ -58,15 +58,16 @@ def classify(joints, params, hit_tol=HIT_TOL, hit_tol_m=HIT_TOL_M,
     s5 = math.sin(qp[4])
     fold = (params.d_ew + params.a_wr * c6) * s4 - params.a_wr * c4 * s5 * s6
 
-    # SC direction vs the tool z-axis (pose-level degeneracy of the reduction)
-    pts = frame_points(params, qu)
-    pose = forward_kinematics(params, qu)
-    sc = pts.axis7 - pts.shoulder
+    # SC direction vs the tool z-axis (pose-level degeneracy of the reduction);
+    # the tool axis stays a column of a (3, 3) array, whose dot product
+    # bits a contiguous copy need not keep
+    R, p, S, _, _ = _K.fk_chain(params._links, qu)
+    sc = np.array(p) - np.array(S)
     nsc = np.linalg.norm(sc)
     if nsc < SC_LEN_TOL:
         d_ref = 0.0
     else:
-        cosang = abs(float(sc @ pose.rotation[:, 2])) / nsc
+        cosang = abs(float(sc @ np.array(R).reshape(3, 3)[:, 2])) / nsc
         d_ref = math.acos(min(1.0, cosang))
 
     kin = {

@@ -1,7 +1,9 @@
+import json
 import re
 from pathlib import Path
 
 import armik
+import armik.cli
 from armik.arm_angle import special_pose
 from armik._kernels_impl import COMPLEX_PAIR_TOL, DEGREE_TOL, ROOT_MERGE_TOL
 
@@ -35,10 +37,11 @@ def test_one_kernel_module():
     assert armik.ik_core._K.ik_solve_core.__globals__ is vars(armik._kernels.active)
 
 
-def test_perfbench_trace_contract(params, monkeypatch):
+def test_perfbench_trace_contract(params, monkeypatch, tmp_path):
     # perfbench --trace 1 counts real roots as int(solve_quartic_core(...)[0]),
-    # times reduce_pose and _assemble by wrapping them on armik.ik_core, and
-    # tallies every rejection by its reason under REASON_NAMES
+    # times reduce_pose and _assemble by wrapping them on armik.ik_core,
+    # tallies every rejection by its reason under REASON_NAMES, and times
+    # armik ik's layers by replacing armik.cli attributes with plain functions
     count = armik._kernels.active.solve_quartic_core(
         1.0, -10.0, 35.0, -50.0, 24.0, DEGREE_TOL, ROOT_MERGE_TOL, COMPLEX_PAIR_TOL)[0]
     assert type(count) is int and count == 4
@@ -60,3 +63,25 @@ def test_perfbench_trace_contract(params, monkeypatch):
         assert calls == {"reduce_pose": 1, "_assemble": 1}
         assert res.rejected
         assert all(r.reason in armik.REASON_NAMES.values() for r in res.rejected)
+
+    items = []
+    for q, flat in (([0.4, -1.2, 0.5, 1.1, -0.3, 0.9, 0.2], False),
+                    ([-0.7, 0.6, 1.9, -1.4, 0.8, -0.5, 1.2], True)):
+        pose = armik.forward_kinematics(params, q)
+        rot = pose.rotation.reshape(-1) if flat else pose.rotation
+        items.append({"position": pose.translation.tolist(), "rotation": rot.tolist(),
+                      "psi": armik.arm_angle(params, q)})
+    src, out = tmp_path / "in.json", tmp_path / "out.json"
+    src.write_text(json.dumps(items))
+    argv = ["ik", str(src), "--output", str(out)]
+    assert armik.cli.main(argv) == 0
+    want = out.read_bytes()
+    out.unlink()
+    monkeypatch.undo()
+    calls = dict.fromkeys(("Transform", "_parse_pose", "_read_input", "_write_output", "_fmt"), 0)
+    for name in calls:
+        monkeypatch.setattr(armik.cli, name, counting(name, getattr(armik.cli, name)))
+    assert armik.cli.main(argv) == 0
+    assert out.read_bytes() == want
+    assert calls.pop("_fmt") >= 1
+    assert calls == {"Transform": 2, "_parse_pose": 2, "_read_input": 1, "_write_output": 1}

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 
@@ -446,3 +448,58 @@ def test_deeply_nested_params_file_is_invalid_params(capsys, tmp_path):
     assert main(["--params", str(pfile), "fk", "--json", json.dumps({"joints": [0.0] * 7})]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["tag"] == "invalid_params"
+
+
+def _ik_argv(params):
+    item = _pose_item(params, np.array(Q0), {"psi": arm_angle(params, np.array(Q0))})
+    return ["ik", "--json", json.dumps([item, item])]
+
+
+@pytest.mark.parametrize("before", [None, b"x" * 100000, b"{}"], ids=["new", "longer", "shorter"])
+def test_output_file_is_rewritten_in_place(params, capsys, tmp_path, before):
+    # --output overwrites the file and cuts it to length: its bytes are the
+    # bytes the same call writes to stdout, whatever the file held before
+    argv = _ik_argv(params)
+    assert main(argv) == 0
+    want = capsys.readouterr().out.encode()
+    dst = tmp_path / "out.json"
+    if before is not None:
+        dst.write_bytes(before)
+    old = os.umask(0o002)
+    try:
+        assert main(argv + ["--output", str(dst)]) == 0
+        ref = tmp_path / "ref.json"
+        with open(ref, "w"):
+            pass
+    finally:
+        os.umask(old)
+    assert capsys.readouterr().out == ""
+    assert dst.read_bytes() == want
+    if before is None:
+        assert stat.S_IMODE(dst.stat().st_mode) == stat.S_IMODE(ref.stat().st_mode) == 0o664
+
+
+def test_output_to_devnull(params, capsys):
+    # not a regular file: written, never cut
+    assert main(_ik_argv(params) + ["--output", os.devnull]) == 0
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["ik", "--json", json.dumps({"position": [0.3, 0.1, 0.5], "rotation": [1, 0, 0, 0], "psi": 0.2})],
+    ["fk", "--json", json.dumps({"joints": Q0})],
+    ["arm-angle", "--json", json.dumps({"joints": Q0})],
+    ["classify", "--json", json.dumps({"joints": Q0})],
+    ["sweep", "--json", json.dumps({"position": [0.3, 0.1, 0.5], "rotation": [1, 0, 0, 0],
+                                    "start": 0.0, "stop": 1.0, "count": 2})],
+    ["check", "--n", "2"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_unwritable_output_is_invalid_input(capsys, tmp_path, argv, where):
+    dst = tmp_path / "no_such_dir" / "out.json" if where == "missing_dir" else tmp_path
+    assert main(argv + ["--output", str(dst)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert err["tag"] == "invalid_input"
+    assert err["message"].startswith("cannot write output: ")

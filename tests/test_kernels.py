@@ -5,7 +5,9 @@ the link constants of link_table; the reference below is the original product
 of mdh_link affines on the raw rows. link_rot is the rotation of mdh_link from
 the same constants. wrap_angle returns its argument unchanged on (-3, 3); the
 reference is the floor formula alone. Each pair must agree to the last bit
-(compared by repr, so the signs of zeros count).
+(compared by repr, so the signs of zeros count). ik_solve_core's duplicate
+scan settles most pairs of branches on joint 1 or joint 3 before its loop
+over all 7 joints; the reference is that loop alone.
 """
 
 import math
@@ -13,8 +15,10 @@ import math
 import numpy as np
 import pytest
 
+from armik import IkRequest, ToleranceSet, Transform, arm_angle, forward_kinematics, solve
 from armik import _kernels_impl as K
 from armik._kernels_impl import link_table
+from conftest import sample_far_joints
 
 
 def _mdh_link(alpha, a, d, theta):
@@ -126,3 +130,72 @@ def test_wrap_angle_matches_floor_formula_bits():
 def test_wrap_angle_rejects_nan():
     with pytest.raises(ValueError):
         K.wrap_angle(math.nan)
+
+
+def _is_duplicate_reference(qu, accepted, tol):
+    for qb in accepted:
+        same = True
+        for ji in range(7):
+            if abs(K.wrap_angle(qu[ji] - qb[ji])) > tol:
+                same = False
+                break
+        if same:
+            return True
+    return False
+
+
+def _scan_requests(params, rng):
+    # roundtrip-style: far configurations at their own arm angle;
+    # workcell-style: goals in a box around the base at random arm angles
+    for _ in range(40):
+        q = sample_far_joints(rng, params)
+        yield forward_kinematics(params, q), arm_angle(params, q)
+    for _ in range(60):
+        R = forward_kinematics(params, rng.uniform(-math.pi, math.pi, 7)).rotation
+        p = rng.uniform((-1.0, -1.0, -0.5), (1.0, 1.0, 1.3))
+        yield Transform(R, p), rng.uniform(-math.pi, math.pi)
+
+
+# rejections of leaves that reached FK verification
+_AFTER_FK = ("pose_mismatch", "psi_mismatch", "duplicate")
+
+
+@pytest.mark.parametrize("merge_tol", [1e-7, 1e-3, 0.5, 2.9, 3.0, 3.5, 7.0])
+def test_duplicate_scan_matches_seven_joint_loop(params, monkeypatch, merge_tol):
+    # every leaf that reaches FK calls fk_chain once, in leaf order; those
+    # past the pose and psi checks meet the duplicate scan, which must decide
+    # as the 7-joint loop does on the accepted branches before them
+    verified = []
+    fk_chain = K.fk_chain
+
+    def recording(links, qu):
+        verified.append(qu)
+        return fk_chain(links, qu)
+
+    monkeypatch.setattr(K, "fk_chain", recording)
+    tol = ToleranceSet(angle_merge_tol=merge_tol)
+    rng = np.random.default_rng(74)
+    duplicates = 0
+    for pose, psi in _scan_requests(params, rng):
+        verified.clear()
+        res = solve(IkRequest(pose=pose, psi=psi, params=params, tolerances=tol))
+        reasons = {r.leaf: r.reason for r in res.rejected}
+        joints = {4 * b.root_index + 2 * (b.q4_sign < 0) + (b.q2_sign < 0): b.joints._q
+                  for b in res.branches}
+        fk_leaves = sorted(set(joints).union(
+            leaf for leaf, reason in reasons.items() if reason in _AFTER_FK))
+        assert len(fk_leaves) == len(verified)
+        accepted = []
+        for leaf, qu in zip(fk_leaves, verified):
+            reason = reasons.get(leaf)
+            if reason in ("pose_mismatch", "psi_mismatch"):
+                continue
+            want_duplicate = _is_duplicate_reference(qu, accepted, merge_tol)
+            assert (reason == "duplicate") == want_duplicate, (leaf, qu)
+            if want_duplicate:
+                duplicates += 1
+            else:
+                assert repr(joints[leaf]) == repr(qu)
+                accepted.append(qu)
+    if merge_tol >= 3.0:
+        assert duplicates > 0

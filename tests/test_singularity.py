@@ -11,9 +11,12 @@ from armik import (
     classify,
     default_params,
     forward_kinematics,
+    frame_points,
     reduce_pose,
     solve,
 )
+from armik import _kernels_impl as K
+from armik._kernels_impl import HIT_TOL, SC_LEN_TOL
 from armik.singularity import family_distance, numeric_jacobian
 from conftest import family_sample, sample_far_joints
 
@@ -196,3 +199,41 @@ def test_branch_fold_expression_zero_on_fold(params):
             - params.a_wr * math.cos(q[3]) * math.sin(q[4]) * math.sin(q[5])
         )
         assert abs(rep.distances["branch_fold"] - a3) < 1e-12
+
+
+def _reference_parallel_reference(params, q):
+    # classify's SC-vs-tool-axis distance as computed from two chain products
+    pts = frame_points(params, q)
+    pose = forward_kinematics(params, q)
+    sc = pts.axis7 - pts.shoulder
+    nsc = np.linalg.norm(sc)
+    if nsc < SC_LEN_TOL:
+        return 0.0
+    return math.acos(min(1.0, abs(float(sc @ pose.rotation[:, 2])) / nsc))
+
+
+def test_classify_runs_one_chain_product(params, monkeypatch):
+    rng = np.random.default_rng(75)
+    configs = [rng.uniform(-4.0, 4.0, 7) for _ in range(1000)]
+    configs += [PARALLEL_Q + 10.0 ** -rng.uniform(3, 12) * rng.standard_normal(7)
+                for _ in range(100)]
+    configs += [PARALLEL_Q, np.zeros(7)]
+    calls = []
+    fk_chain = K.fk_chain
+
+    def counting(links, q):
+        calls.append(q)
+        return fk_chain(links, q)
+
+    monkeypatch.setattr(K, "fk_chain", counting)
+    hits = 0
+    for q in configs:
+        calls.clear()
+        rep = classify(q, params)
+        assert len(calls) == 1
+        want = _reference_parallel_reference(params, q)
+        assert repr(rep.distances["reference_parallel"]) == repr(want), q
+        hit = "reference_parallel" in _hit_names(rep.algorithmic_hits)
+        assert hit == (want < HIT_TOL)
+        hits += hit
+    assert hits > 0
