@@ -106,22 +106,6 @@ def wrap_angle(a):
     return w
 
 
-def mdh_link(alpha, a, d, theta):
-    """Link transform RotX(alpha) TransX(a) RotZ(theta) TransZ(d) as an affine.
-
-    Affines are 12-tuples: the rotation row-major, then the translation, so
-    the first nine entries of any affine are its rotation.
-    """
-    ca = math.cos(alpha)
-    sa = math.sin(alpha)
-    ct = math.cos(theta)
-    st = math.sin(theta)
-    return (ct, -st, 0.0,
-            ca * st, ca * ct, -sa,
-            sa * st, sa * ct, ca,
-            a, -sa * d, ca * d)
-
-
 def link_table(rows):
     """Constants of the rows (alpha, a, d, theta_offset) of a parameter table,
     one row (cos alpha, sin alpha, -sin alpha, a, -sin alpha * d,
@@ -135,8 +119,8 @@ def link_table(rows):
 
 
 def link_rot(L, theta):
-    """Rotation of the link transform of link_table row L at joint angle
-    theta: the first nine entries of mdh_link(alpha, a, d, theta)."""
+    """Rotation, row-major, of the link transform RotX(alpha) TransX(a)
+    RotZ(theta) TransZ(d) of link_table row L at joint angle theta."""
     ca, sa, nsa = L[0], L[1], L[2]
     ct = math.cos(theta)
     st = math.sin(theta)
@@ -165,9 +149,9 @@ def fk_chain(links, q):
 
     Returns (R, p, S, E, W): the base-to-end rotation as a row-major 9-tuple,
     its translation, and the origins of frames 2/4/6 (after the odd steps).
-    Each step multiplies by mdh_link(alpha, a, d, theta_offset + q_i) with
-    every term of the affine product, in order (the `* 0.0` terms fix the
-    signs of zeros). The six steps are written out: a loop over them costs
+    Each step multiplies by the link transform RotX(alpha) TransX(a)
+    RotZ(theta) TransZ(d) at theta = theta_offset + q_i, with every term of
+    the affine product, in order (the `* 0.0` terms fix the signs of zeros). The six steps are written out: a loop over them costs
     a measurable share of the verification of a branch.
     """
     q0, q1, q2, q3, q4, q5, q6 = q

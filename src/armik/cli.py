@@ -8,6 +8,7 @@ with 17 significant digits so identical inputs give identical bytes.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -19,7 +20,7 @@ from .robot import JointConfig, Transform, _read_floats, default_params, load_pa
 from .arm_angle import arm_angle
 from .ik_core import IkRequest, SolutionSet, solve
 from . import _kernels_impl as _K
-from ._kernels_impl import HIT_TOL, HIT_TOL_M, QUAT_NORM_TOL
+from ._kernels_impl import HIT_TOL, HIT_TOL_M, QUAT_NORM_TOL, TOL_LEN, TOL_PARALLEL
 
 # tags that indicate malformed input rather than a degenerate-but-valid request
 _PARSE_TAGS = ("invalid_params", "invalid_rotation", "invalid_input")
@@ -107,12 +108,16 @@ def _parse_rotation(val):
         )
     # numpy on this branch only: the bits of np.linalg.norm's fused dot product
     import numpy as np
-    from .verify import _quat_to_mat
-    q = np.array(r)
-    n = float(np.linalg.norm(q))
+    n = float(np.linalg.norm(np.array(r)))
     if abs(n - 1.0) > QUAT_NORM_TOL:
         raise InvalidRotation(f"quaternion norm {n:.12f} is not 1")
-    return _quat_to_mat(q / n)
+    # verify._quat_to_mat's expressions in its order, on floats
+    w, x, y, z = [v / n for v in r]
+    return (
+        (1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)),
+        (2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)),
+        (2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)),
+    )
 
 
 def _parse_pose(item):
@@ -140,8 +145,25 @@ def _float_field(item, key, default):
         raise InvalidInput(f"'{key}' must be a number") from None
 
 
-def _cmd_ik(params, item):
-    pose = _parse_pose(item)
+def _no_zero(v):
+    # True if no number in the JSON value v equals zero. Numbers that compare
+    # equal then parse to the same floats: 0.0 == -0.0 is the one exception
+    if type(v) is list:
+        return all(map(_no_zero, v))
+    return v != 0
+
+
+def _cmd_ik(params, item, last):
+    # last: [[position, rotation], pose] of the last pose this main call
+    # parsed without a zero entry, or Nones. An item with equal JSON values
+    # reuses its Transform, which is immutable and already validated
+    raw = [item.get("position"), item.get("rotation")]
+    if raw == last[0]:
+        pose = last[1]
+    else:
+        pose = _parse_pose(item)
+        if _no_zero(raw):
+            last[:] = raw, pose
     if "psi" not in item:
         raise InvalidInput("ik input needs a 'psi' field")
     return solve(IkRequest(pose=pose, psi=item["psi"], params=params))
@@ -155,7 +177,8 @@ def _cmd_fk(params, item):
         "frame_points": {"shoulder": S, "elbow": E, "wrist": W, "axis7": p},
     }
     try:
-        out["psi"] = arm_angle(params, joints)
+        # arm_angle's computation, on the frame points above
+        out["psi"] = _K.arm_dihedral(S, E, p, (R[2], R[5], R[8]), TOL_LEN, TOL_PARALLEL)
     except ArmikError as e:
         out["psi"] = None
         out["psi_error"] = e.tag
@@ -325,6 +348,9 @@ def main(argv=None):
 
         doc = _read_input(args)
         handler = _ITEM_HANDLERS[args.command]
+        if handler is _cmd_ik:
+            # pose reuse lasts for this call only
+            handler = functools.partial(_cmd_ik, last=[None, None])
         batch = isinstance(doc, list)
         items = doc if batch else [doc]
         results = []

@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import armik.cli
 import armik.verify
-from armik import arm_angle, default_params, forward_kinematics
+from armik import ArmikError, arm_angle, default_params, forward_kinematics
+from armik import _kernels_impl as _K
 from armik.verify import fk_oracle
-from armik.cli import main
+from armik.cli import _parse_rotation, main
 
 
 def _run(capsys, argv):
@@ -146,6 +148,107 @@ def test_ik_batch_non_numeric_items_fail_alone(params, capsys):
     assert rc == 1
     assert [o["error"]["tag"] for o in out[1:-1]] == [t for _, _, t in NON_NUMERIC_IK]
     assert out[0]["count"] > 0 and out[-1] == out[0]
+
+
+def _count_pose_parses(monkeypatch):
+    parsed = []
+    parse = armik.cli._parse_pose
+    monkeypatch.setattr(armik.cli, "_parse_pose", lambda item: parsed.append(1) or parse(item))
+    return parsed
+
+
+def _quat(R):
+    # [w, x, y, z] of a rotation matrix whose trace is above -1
+    w = 0.5 * math.sqrt(1.0 + R[0][0] + R[1][1] + R[2][2])
+    return [w, (R[2][1] - R[1][2]) / (4 * w), (R[0][2] - R[2][0]) / (4 * w),
+            (R[1][0] - R[0][1]) / (4 * w)]
+
+
+# a rotation about y whose signed zero at [1][2] changes the printed solve
+Y_ROT = [[-0.4048846562511561, 0.0, 0.9143677679863739], [0.0, 1.0, 0.0],
+         [-0.9143677679863739, 0.0, -0.4048846562511561]]
+Y_POS = [-0.43728207742923175, 0.0, 0.8603902507148447]
+
+
+def _reuse_cases(params):
+    # (items of one batch, _parse_pose calls that batch makes)
+    item = _pose_item(params, np.array(Q0))
+    psis = [arm_angle(params, np.array(Q0)) + d for d in (-0.2, -0.1, 0.0, 0.1, 0.2)]
+    at = dict(item, psi=psis[0])
+    R = item["rotation"]
+    neg = [list(r) for r in Y_ROT]
+    neg[1][2] = -0.0
+    scaled = [[1.001 * v for v in r] for r in R]
+    return {
+        "matrix_5_psi": ([dict(item, psi=p) for p in psis], 1),
+        "flat_5_psi": ([dict(item, rotation=sum(R, []), psi=p) for p in psis], 1),
+        "quaternion_5_psi": ([dict(item, rotation=_quat(R), psi=p) for p in psis], 1),
+        "signed_zero": ([{"position": Y_POS, "rotation": rot, "psi": -2.0129564011553924}
+                         for rot in (Y_ROT, neg, Y_ROT, neg)], 4),
+        "int_and_float": ([dict(at, position=pos)
+                           for pos in ([1, 0.2, 0.5], [1.0, 0.2, 0.5], [1, 0.2, 0.5])], 1),
+        "pose_changes": ([at, dict(at, rotation=[list(c) for c in zip(*R)]), at,
+                          dict(at, position=[0.3, 0.2, 0.5])], 4),
+        "invalid_repeated": ([dict(item, rotation=scaled, psi=p) for p in psis[:3]], 3),
+        "missing_psi_after_pose": ([at, item, dict(item, psi=psis[1])], 1),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "matrix_5_psi", "flat_5_psi", "quaternion_5_psi", "signed_zero", "int_and_float",
+    "pose_changes", "invalid_repeated", "missing_psi_after_pose",
+])
+def test_ik_batch_pose_reuse_matches_one_call_per_item(params, capsys, monkeypatch, case):
+    # consecutive items with equal pose JSON share one parse; the batch gives
+    # the bytes and exit code of one call per item all the same
+    items, parses = _reuse_cases(params)[case]
+    singles = []
+    for item in items:
+        rc = main(["ik", "--json", json.dumps(item)])
+        singles.append((rc, capsys.readouterr().out))
+    parsed = _count_pose_parses(monkeypatch)
+    rc = main(["ik", "--json", json.dumps(items)])
+    assert len(parsed) == parses
+    assert rc == max(r for r, _ in singles)
+    assert capsys.readouterr().out == "[" + ",".join(o[:-1] for _, o in singles) + "]\n"
+    if case == "signed_zero":
+        assert singles[0] != singles[1]
+    if case == "invalid_repeated":
+        assert {o for _, o in singles} == {singles[0][1]} and '"invalid_rotation"' in singles[0][1]
+    if case == "missing_psi_after_pose":
+        assert [r for r, _ in singles] == [0, 1, 0]
+
+
+def test_quaternion_rows_match_quat_to_mat_bits():
+    # _parse_rotation builds a quaternion's rows on floats with the oracle's
+    # expressions; every bit matches, signs of zeros included
+    rng = np.random.default_rng(31)
+    for i in range(12000):
+        q = rng.normal(size=4)
+        q /= np.linalg.norm(q)
+        if i % 2:
+            q *= 1.0 + rng.uniform(-9e-10, 9e-10)
+        if i % 5 == 0:
+            q[rng.integers(4)] = (0.0, -0.0)[i % 3 == 0]
+        r = q.tolist()
+        n = float(np.linalg.norm(np.array(r)))
+        if abs(n - 1.0) > 1e-9:
+            continue
+        want = armik.verify._quat_to_mat(np.array(r) / n).tolist()
+        assert repr([list(row) for row in _parse_rotation(r)]) == repr(want), r
+
+
+def test_fk_takes_psi_from_its_own_chain(params, capsys, monkeypatch):
+    calls = []
+    chain = _K.fk_chain
+    monkeypatch.setattr(_K, "fk_chain", lambda *a: calls.append(1) or chain(*a))
+    items = [{"joints": Q0}, {"joints": [0.0] * 7}]
+    rc, out = _run(capsys, ["fk", "--json", json.dumps(items)])
+    assert rc == 0 and len(calls) == 2
+    assert out[0]["psi"] == arm_angle(params, Q0)
+    with pytest.raises(ArmikError) as exc:
+        arm_angle(params, [0.0] * 7)
+    assert out[1]["psi"] is None and out[1]["psi_error"] == exc.value.tag
 
 
 @pytest.mark.parametrize(
@@ -347,7 +450,7 @@ def test_custom_params_file(params, capsys, tmp_path):
     assert rc == 1
 
 
-def test_calls_through_one_parser_leak_no_state(params, capsys, tmp_path):
+def test_calls_through_one_parser_leak_no_state(params, capsys, tmp_path, monkeypatch):
     fk_zero = ["fk", "--json", json.dumps({"joints": [0.0] * 7})]
     rc, want = _run(capsys, fk_zero)
     assert rc == 0
@@ -371,6 +474,12 @@ def test_calls_through_one_parser_leak_no_state(params, capsys, tmp_path):
     assert exc.value.code == 2
     assert "--no-such-flag" in capsys.readouterr().err
     assert _run(capsys, fk_zero) == (0, want)
+    # one call's last pose is parsed again by the next call
+    parsed = _count_pose_parses(monkeypatch)
+    ik = _ik_argv(params)
+    first = _run(capsys, ik)
+    assert len(parsed) == 1
+    assert _run(capsys, ik) == first and len(parsed) == 2
 
 
 def test_params_file_is_read_on_every_call(params, capsys, tmp_path):

@@ -2,7 +2,8 @@
 
 `import armik`, the built-in parameters, a `Transform` from nested lists, a
 request, a solve, `armik ik` on a matrix pose, `armik fk` and `armik
-arm-angle` all run on floats. The
+arm-angle` all run on floats. `armik ik` on a quaternion pose imports numpy
+for the norm, but not the oracle module `armik.verify`. The
 arrays of `JointConfig.q`, `SolutionSet.joints_array()`,
 `Transform.rotation` and `RobotParams.mdh` are built when first read, with
 the same types, values and write flags as before.
@@ -50,6 +51,16 @@ for cmd in ("fk", "arm-angle"):
         code = armik.cli.main([cmd, "--json", json.dumps({"joints": q0})])
     assert code == 0 and json.loads(out.getvalue())["psi"] == psi
     no_numpy("armik " + cmd)
+
+# a quaternion pose needs numpy for its norm, and never the oracle module
+(a, b, c), (d, e, f), (g, h, i) = rows
+w = 0.5 * (1.0 + a + e + i) ** 0.5
+quat = [w, (h - f) / (4 * w), (c - g) / (4 * w), (d - b) / (4 * w)]
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = armik.cli.main(["ik", "--json", json.dumps({"position": pos, "rotation": quat, "psi": psi})])
+assert code == 0 and json.loads(out.getvalue())["count"] == len(res.branches)
+assert "numpy" in sys.modules and "armik.verify" not in sys.modules
 
 import numpy as np
 

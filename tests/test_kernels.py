@@ -2,8 +2,8 @@
 
 fk_chain multiplies the link transforms in one loop over local floats, reading
 the link constants of link_table; the reference below is the original product
-of mdh_link affines on the raw rows. link_rot is the rotation of mdh_link from
-the same constants. wrap_angle returns its argument unchanged on (-3, 3); the
+of link affines (_mdh_link: the rotation row-major, then the translation) on
+the raw rows. link_rot is the rotation of _mdh_link from the same constants. wrap_angle returns its argument unchanged on (-3, 3); the
 reference is the floor formula alone. Each pair must agree to the last bit
 (compared by repr, so the signs of zeros count). ik_solve_core's duplicate
 scan settles most pairs of branches on joint 1 or joint 3 before its loop
@@ -110,7 +110,7 @@ def test_link_rot_matches_mdh_link_bits(params, as_numpy):
         rows = table if as_numpy else tuple(map(tuple, table.tolist()))
         for row, L in zip(rows, link_table(rows)):
             for th in thetas:
-                want = K.mdh_link(row[0], row[1], row[2], th)[:9]
+                want = _mdh_link(row[0], row[1], row[2], th)[:9]
                 assert repr(K.link_rot(L, th)) == repr(want), (row, th)
 
 

@@ -43,11 +43,13 @@ def _trans(x, y, z):
 
 
 def _link_matrix(alpha, a, d, theta):
-    # the homogeneous matrix of the kernel's link affine
-    link = _K.mdh_link(alpha, a, d, theta)
+    # the homogeneous matrix of the kernel's link transform: link_rot's
+    # rotation, and the translation (a, -sin alpha * d, cos alpha * d) that
+    # link_table keeps in the row
+    L = _K.link_table([(alpha, a, d, 0.0)])[0]
     T = np.eye(4)
-    T[:3, :3] = np.reshape(link[:9], (3, 3))
-    T[:3, 3] = link[9:]
+    T[:3, :3] = np.reshape(_K.link_rot(L, theta), (3, 3))
+    T[:3, 3] = L[3:6]
     return T
 
 
