@@ -31,12 +31,16 @@ SWEEP_MAX_COUNT = 10000
 # encoded rejection entries, keyed by (label, reason, category); labels and
 # reasons come from fixed vocabularies, so the table stays small
 _REJECTED_JSON = {}
-# branch labels hold only letters, digits, "/", "+" and "-": nothing to escape
-_BRANCH_JSON = (
-    '{"label":"%s","joints":[%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g],'
-    '"root_index":%d,"q4_sign":%d,"q2_sign":%d,"t6":%.17g,"r6":%.17g,"q8":%.17g,'
-    '"residuals":{"pose_error":%.17g,"arm_eq_residual":%.17g,"pose_eq_residual":%.17g}}'
-)
+# A branch object is written in fragments. Per branch: its label, joints
+# 1-3, q2_sign and pose_error. Per elbow pair (root slot and q4_sign):
+# joints 4-5. Per root slot: joints 6-7, root_index, t6, r6, q8 and the two
+# slot residuals. Branch labels hold only letters, digits, "/", "+" and "-":
+# nothing to escape
+_BRANCH_JSON = '{"label":"%s","joints":[%.17g,%.17g,%.17g,%s"q2_sign":%d%s%.17g%s'
+_PAIR_JSON = '%.17g,%.17g,%s"q4_sign":%d,'
+_SLOT_JOINTS_JSON = '%.17g,%.17g],"root_index":%d,'
+_SLOT_HEAD_JSON = ',"t6":%.17g,"r6":%.17g,"q8":%.17g,"residuals":{"pose_error":'
+_SLOT_TAIL_JSON = ',"arm_eq_residual":%.17g,"pose_eq_residual":%.17g}}'
 
 
 def _fmt(obj):
@@ -64,14 +68,37 @@ def _fmt(obj):
 
 
 def _fmt_solution_set(res):
-    branches = [
-        _BRANCH_JSON
-        % (
-            b.label, *b.joints._q, b.root_index, b.q4_sign, b.q2_sign,
-            b.t6, b.r6, b.q8, b.pose_error, b.arm_eq_residual, b.pose_eq_residual,
-        )
-        for b in res.branches
-    ]
+    branches = []
+    # The slot and pair fragments are reused while the next branch holds the
+    # same objects they print (solve hands a slot's leaves the same floats).
+    # Identity gives equal bits and == does not: 0.0 == -0.0 prints apart.
+    # The s_ and p_ names hold the printed objects, so none is freed and
+    # none of their ids is reused while they are compared. No branch holds
+    # `unset`, so the first branch builds every fragment
+    unset = object()
+    s_root = s_q6 = s_q7 = s_t6 = s_r6 = s_q8 = s_arm = s_pose = unset
+    p_q4 = p_q5 = p_sign = unset
+    for b in res.branches:
+        q1, q2, q3, q4, q5, q6, q7 = b.joints._q
+        root, t6, r6, q8 = b.root_index, b.t6, b.r6, b.q8
+        arm, pose = b.arm_eq_residual, b.pose_eq_residual
+        if not (
+            root is s_root and q6 is s_q6 and q7 is s_q7 and t6 is s_t6
+            and r6 is s_r6 and q8 is s_q8 and arm is s_arm and pose is s_pose
+        ):
+            s_root, s_q6, s_q7, s_t6, s_r6, s_q8, s_arm, s_pose = (
+                root, q6, q7, t6, r6, q8, arm, pose)
+            slot_joints = _SLOT_JOINTS_JSON % (q6, q7, root)
+            slot_head = _SLOT_HEAD_JSON % (t6, r6, q8)
+            slot_tail = _SLOT_TAIL_JSON % (arm, pose)
+            # the pair fragment holds slot_joints
+            p_sign = unset
+        sign = b.q4_sign
+        if not (q4 is p_q4 and q5 is p_q5 and sign is p_sign):
+            p_q4, p_q5, p_sign = q4, q5, sign
+            pair = _PAIR_JSON % (q4, q5, slot_joints, sign)
+        branches.append(_BRANCH_JSON % (
+            b.label, q1, q2, q3, pair, b.q2_sign, slot_head, b.pose_error, slot_tail))
     rejected = []
     for r in res.rejected:
         key = (r.label, r.reason, r.category)
@@ -138,13 +165,6 @@ def _get_joints(item):
     return JointConfig(item["joints"])
 
 
-def _float_field(item, key, default):
-    try:
-        return float(item.get(key, default))
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidInput(f"'{key}' must be a number") from None
-
-
 def _no_zero(v):
     # True if no number in the JSON value v equals zero. Numbers that compare
     # equal then parse to the same floats: 0.0 == -0.0 is the one exception
@@ -193,12 +213,15 @@ def _cmd_arm_angle(params, item):
 def _cmd_classify(params, item):
     from .singularity import classify
     joints = _get_joints(item)
+    with_jacobian = item.get("with_jacobian", False)
+    if type(with_jacobian) is not bool:
+        raise InvalidInput("'with_jacobian' must be true or false")
     rep = classify(
         joints,
         params,
-        hit_tol=_float_field(item, "hit_tol", HIT_TOL),
-        hit_tol_m=_float_field(item, "hit_tol_m", HIT_TOL_M),
-        with_jacobian=bool(item.get("with_jacobian", False)),
+        hit_tol=item.get("hit_tol", HIT_TOL),
+        hit_tol_m=item.get("hit_tol_m", HIT_TOL_M),
+        with_jacobian=with_jacobian,
     )
     return {
         "kinematic_hits": [
@@ -251,6 +274,11 @@ def _cmd_sweep(params, item):
 
 
 def _cmd_check(params, n, seed):
+    # numpy's generator raises on a negative seed, and n = 0 checks nothing
+    if n < 1:
+        raise InvalidInput("check --n must be at least 1")
+    if seed < 0:
+        raise InvalidInput("check --seed must not be negative")
     from .verify import check_all
     res = check_all(params, n=n, seed=seed)
     return (

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import math
 
 from .errors import InvalidInput
-from .robot import JointConfig, RobotParams, Transform
+from .robot import JointConfig, RobotParams, Transform, _check_tolerance
 from .arm_angle import reduce_pose
 from . import _kernels_impl as _K
 from ._kernels_impl import (
@@ -57,9 +57,7 @@ class ToleranceSet:
 
     def __post_init__(self):
         for name, v in self.__dict__.items():
-            number = isinstance(v, (int, float)) and not isinstance(v, bool)
-            if not (number and 0 < v < math.inf):
-                raise InvalidInput(f"tolerance {name} must be a positive finite number")
+            _check_tolerance(name, v)
 
 
 DEFAULT_TOLERANCES = ToleranceSet()

@@ -77,6 +77,13 @@ def _vec(x, n, name):
     return v
 
 
+def _check_tolerance(name, v):
+    """InvalidInput unless v is a positive finite int or float (not a bool)."""
+    number = isinstance(v, (int, float)) and not isinstance(v, bool)
+    if not (number and 0 < v < math.inf):
+        raise InvalidInput(f"tolerance {name} must be a positive finite number")
+
+
 def check_rotation(R):
     """Validate that R is a proper rotation within ROT_TOL. Returns its
     entries as a row-major 9-tuple of floats."""

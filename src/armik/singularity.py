@@ -10,7 +10,7 @@ the compound branch-fold expression is measured in meters.
 from dataclasses import dataclass
 import math
 
-from .robot import _joint_floats, forward_kinematics
+from .robot import _check_tolerance, _joint_floats, forward_kinematics
 from . import _kernels_impl as _K
 from ._kernels_impl import HIT_TOL, HIT_TOL_M, SC_LEN_TOL
 
@@ -40,8 +40,11 @@ def classify(joints, params, hit_tol=HIT_TOL, hit_tol_m=HIT_TOL_M,
     Angle families use internal joint coordinates (user values shifted by
     the parameter table offsets). Compound families take the max of their
     component distances; a hit needs distance < hit_tol (angles, rad) or
-    < hit_tol_m for the meter-valued branch-fold expression.
+    < hit_tol_m for the meter-valued branch-fold expression. Both must be
+    positive finite numbers (InvalidInput otherwise).
     """
+    _check_tolerance("hit_tol", hit_tol)
+    _check_tolerance("hit_tol_m", hit_tol_m)
     import numpy as np
     qu = _joint_floats(joints)
     qp = [_K.wrap_angle(u + d) for u, d in zip(qu, params._delta)]

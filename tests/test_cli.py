@@ -12,10 +12,14 @@ from numpy.testing import assert_allclose
 
 import armik.cli
 import armik.verify
-from armik import ArmikError, arm_angle, default_params, forward_kinematics
+from armik import (
+    ArmikError, IkRequest, JointConfig, SolutionSet, Transform, arm_angle, default_params,
+    forward_kinematics, solve,
+)
 from armik import _kernels_impl as _K
 from armik.verify import fk_oracle
 from armik.cli import _parse_rotation, main
+from conftest import sample_far_joints
 
 
 def _run(capsys, argv):
@@ -612,3 +616,189 @@ def test_unwritable_output_is_invalid_input(capsys, tmp_path, argv, where):
     err = json.loads(captured.err)["error"]
     assert err["tag"] == "invalid_input"
     assert err["message"].startswith("cannot write output: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--n", "-3"],
+    ["check", "--n", "0"],
+    ["check", "--seed", "-1"],
+    ["check", "--n", "0", "--seed", "-1"],
+], ids=["n_negative", "n_zero", "seed_negative", "both"])
+def test_check_rejects_bad_n_and_seed(capsys, monkeypatch, argv):
+    # rejected before the self-test runs: a negative n or seed crashed in
+    # numpy, and n = 0 reported a pass after checking nothing
+    def never(*args, **kwargs):
+        raise AssertionError("check_all ran")
+    monkeypatch.setattr(armik.verify, "check_all", never)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["tag"] == "invalid_input"
+
+
+@pytest.mark.parametrize("extra", [
+    {"with_jacobian": "no"},
+    {"with_jacobian": 1},
+    {"with_jacobian": 0},
+    {"with_jacobian": None},
+    {"with_jacobian": "true"},
+    {"hit_tol": math.nan},
+    {"hit_tol": 0.0},
+    {"hit_tol": -1e-3},
+    {"hit_tol": math.inf},
+    {"hit_tol": True},
+    {"hit_tol": "0.1"},
+    {"hit_tol_m": math.nan},
+    {"hit_tol_m": 0},
+    {"hit_tol_m": -1.0},
+    {"hit_tol_m": None},
+], ids=lambda e: "%s=%r" % next(iter(e.items())))
+def test_classify_cmd_rejects_bad_options(capsys, extra):
+    rc, out = _run(capsys, ["classify", "--json", json.dumps({"joints": Q0, **extra})])
+    assert rc == 1
+    assert out["error"]["tag"] == "invalid_input"
+
+
+def test_classify_cmd_takes_json_booleans(capsys):
+    got = {}
+    for flag in (True, False):
+        rc, out = _run(capsys, ["classify", "--json",
+                                json.dumps({"joints": Q0, "with_jacobian": flag})])
+        assert rc == 0
+        got[flag] = out["min_singular_value"]
+    assert got[True] > 0.0 and got[False] is None
+
+
+# Reference renderer of an `ik` result: every branch printed in full from
+# one template, with no fragment shared between branches
+_BRANCH_JSON = (
+    '{"label":"%s","joints":[%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g],'
+    '"root_index":%d,"q4_sign":%d,"q2_sign":%d,"t6":%.17g,"r6":%.17g,"q8":%.17g,'
+    '"residuals":{"pose_error":%.17g,"arm_eq_residual":%.17g,"pose_eq_residual":%.17g}}'
+)
+
+
+def _reference_json(res):
+    branches = [
+        _BRANCH_JSON % (b.label, *b.joints._q, b.root_index, b.q4_sign, b.q2_sign,
+                        b.t6, b.r6, b.q8, b.pose_error, b.arm_eq_residual, b.pose_eq_residual)
+        for b in res.branches
+    ]
+    rejected = [armik.cli._fmt({"branch": r.label, "reason": r.reason, "category": r.category})
+                for r in res.rejected]
+    return '{"count":%d,"branches":[%s],"rejected":[%s]}' % (
+        len(branches), ",".join(branches), ",".join(rejected))
+
+
+def _real_solves(params):
+    # roundtrip-, workcell- and cli_batch-style requests, 120 of each
+    rng = np.random.default_rng(2024)
+    requests = []
+    for _ in range(120):
+        q = sample_far_joints(rng, params)
+        requests.append((forward_kinematics(params, q), arm_angle(params, q)))
+    for _ in range(120):
+        R = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        R *= np.linalg.det(R)
+        p = rng.uniform((-1.0, -1.0, -0.5), (1.0, 1.0, 1.3))
+        requests.append((Transform(R, p), rng.uniform(-math.pi, math.pi)))
+    for _ in range(24):
+        q = sample_far_joints(rng, params)
+        pose, psi = forward_kinematics(params, q), arm_angle(params, q)
+        requests += [(pose, psi + d) for d in (-0.2, -0.1, 0.0, 0.1, 0.2)]
+    out = []
+    for pose, psi in requests:
+        try:
+            out.append(solve(IkRequest(pose=pose, psi=psi, params=params)))
+        except ArmikError:
+            pass
+    return out
+
+
+def test_solution_set_bytes_match_one_template_per_branch(params):
+    solves = _real_solves(params)
+    assert len(solves) >= 300
+    shared = 0
+    for res in solves:
+        assert armik.cli._fmt(res) == _reference_json(res)
+        for a, b in zip(res.branches, res.branches[1:]):
+            shared += a.root_index == b.root_index and a.t6 is b.t6
+    # the premise of the reuse: solve hands a slot's leaves the same floats
+    assert shared > len(solves)
+
+
+def _fresh(v):
+    # an equal float that is a different object
+    f = float.fromhex(v.hex())
+    assert f is not v
+    return f
+
+
+def _edit(b, **fields):
+    # a copy of branch b with fields replaced; joints as a 7-list
+    q = list(b.joints._q)
+    for i, v in fields.pop("joints", {}).items():
+        q[i] = v
+    return dataclasses.replace(b, joints=JointConfig(q), **fields)
+
+
+def _solve_q0(params):
+    # a solve of Q0's pose whose first root slot has all 4 leaves
+    res = solve(IkRequest(pose=forward_kinematics(params, np.array(Q0)),
+                          psi=arm_angle(params, np.array(Q0)), params=params))
+    assert [b.root_index for b in res.branches[:4]] == [res.branches[0].root_index] * 4
+    return res
+
+
+def _hand_built_sets(params):
+    res = _solve_q0(params)
+    br = res.branches
+    shared = ("t6", "r6", "q8", "arm_eq_residual", "pose_eq_residual")
+    distinct = [_edit(b, joints={i: _fresh(b.joints._q[i]) for i in range(7)},
+                      **{k: _fresh(getattr(b, k)) for k in shared}) for b in br]
+    # adjacent leaves of one root (and one elbow pair) whose shared floats
+    # are 0.0 and -0.0, which compare equal and print apart
+    zero = 0.0
+    residual = [_edit(br[0], arm_eq_residual=zero), _edit(br[1], arm_eq_residual=-zero)]
+    residual += [dataclasses.replace(b, arm_eq_residual=residual[1].arm_eq_residual)
+                 for b in br[2:4]]
+    pose_res = [_edit(br[0], pose_eq_residual=-zero), _edit(br[1], pose_eq_residual=zero)]
+    q5 = [_edit(br[0], joints={4: zero}), _edit(br[1], joints={4: -zero})]
+    q7 = [_edit(br[0], joints={6: -zero}), _edit(br[1], joints={6: zero}),
+          _edit(br[2], joints={6: zero})]
+    edited = _solve_q0(params)
+    eb = edited.branches
+    eb[1].t6 = 0.25
+    eb[2].joints = JointConfig([*eb[2].joints._q[:4], 0.5, *eb[2].joints._q[5:]])
+    eb[3].root_index = 3
+    eb[5].q4_sign = -1
+    eb[6].pose_eq_residual = eb[6].pose_eq_residual * 2.0
+    return {
+        "distinct_equal_floats": SolutionSet(distinct, res.rejected),
+        "signed_zero_arm_residual": SolutionSet(residual, []),
+        "signed_zero_pose_residual": SolutionSet(pose_res, []),
+        "signed_zero_q5": SolutionSet(q5, []),
+        "signed_zero_q7": SolutionSet(q7, []),
+        "edited_after_solve": edited,
+        "reversed": SolutionSet(br[::-1], res.rejected),
+        "interleaved": SolutionSet(sorted(br, key=lambda b: (b.q2_sign, b.q4_sign)), []),
+        "one_branch": SolutionSet(br[2:3], res.rejected[:1]),
+        "empty": SolutionSet([], []),
+        "only_rejected": SolutionSet([], res.rejected),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "distinct_equal_floats", "signed_zero_arm_residual", "signed_zero_pose_residual",
+    "signed_zero_q5", "signed_zero_q7", "edited_after_solve", "reversed", "interleaved",
+    "one_branch", "empty", "only_rejected",
+])
+def test_hand_built_solution_set_bytes(params, case):
+    # fragments are reused on the identity of the printed objects, never on
+    # equal values or on root_index and q4_sign alone
+    res = _hand_built_sets(params)[case]
+    text = armik.cli._fmt(res)
+    assert text == _reference_json(res)
+    assert json.loads(text)["count"] == len(res.branches)
+    if case.startswith("signed_zero"):
+        assert '-0,' in text or '-0]' in text or '-0}' in text

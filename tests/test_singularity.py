@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from armik import (
     AxisParallel,
     IkRequest,
+    InvalidInput,
     arm_angle,
     classify,
     default_params,
@@ -237,3 +238,21 @@ def test_classify_runs_one_chain_product(params, monkeypatch):
         assert hit == (want < HIT_TOL)
         hits += hit
     assert hits > 0
+
+
+@pytest.mark.parametrize("name", ["hit_tol", "hit_tol_m"])
+@pytest.mark.parametrize("value", [math.nan, 0.0, 0, -1e-3, math.inf, "0.1", None, True],
+                         ids=repr)
+def test_classify_rejects_bad_hit_tolerances(params, name, value):
+    # as ToleranceSet does: a positive finite int or float, not a bool
+    with pytest.raises(InvalidInput, match=f"tolerance {name} must be a positive finite"):
+        classify(np.array(PARALLEL_Q), params, **{name: value})
+
+
+def test_classify_takes_any_positive_finite_hit_tolerance(params):
+    q = np.array([0.3, -1.0, 0.5, 0.0, 0.7, -0.9, 1.1])
+    # every distance is below 4 (rad) and 1 (m), and above 1e-300 but one
+    rep = classify(q, params, hit_tol=4, hit_tol_m=1)
+    assert len(rep.kinematic_hits) == 4 and len(rep.algorithmic_hits) == 4
+    assert _hit_names(classify(q, params, hit_tol=1e-300, hit_tol_m=np.float64(1e-300))
+                      .kinematic_hits) == ["elbow_straight"]
