@@ -7,10 +7,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from armik import (
+    ArmikError,
     AxisParallel,
     DegenerateArm,
     IkRequest,
     InvalidInput,
+    InvalidParams,
     REASON_CATEGORY,
     REASON_NAMES,
     RejectedBranch,
@@ -219,7 +221,10 @@ def test_accepted_branches_satisfy_both_constraints(params):
             arm_eq = t6 * math.sin(q8) * cp + sp * (r6 * sq + t6 * cq * math.cos(q8))
             assert abs(pose_eq) < 1e-9
             assert abs(arm_eq) < 1e-9
-            resid, scale = K.eq7_residual(t6, r6, k, y, aw, tm1, tm2, tm3)
+            # the unsquared combination, in the kernel's operation order
+            t2, t3, t4 = t6 * tm2, t6 * t6 * tm3, r6 * y * (k - aw * t6)
+            resid = tm1 + t2 + t3 + t4
+            scale = max(abs(tm1), abs(t2), abs(t3), abs(t4), 1e-300)
             assert abs(resid) < 1e-7 * scale
             seen += 1
     assert seen > 30
@@ -329,8 +334,102 @@ def test_shoulder_consistency_site_is_reached_through_solve(params):
                           params=params))
     consistency = sorted(r.leaf for r in res.rejected if r.reason == "shoulder_consistency")
     assert consistency == [4, 5, 6, 7]
+    assert _rejection_runs(res) == [(4, 7, "shoulder_consistency"), (8, 11, "duplicate"),
+                                    (12, 15, "arm_equation_mismatch")]
     assert len(res.branches) + len(res.rejected) == 16
     assert all(b.pose_error < 1e-8 for b in res.branches)
+
+
+def _rejection_runs(res):
+    # res.rejected in list order (the order `armik ik` prints), as runs
+    # (first leaf, last leaf, reason) of consecutive leaves with one reason
+    runs = []
+    for r in res.rejected:
+        if runs and runs[-1][2] == r.reason and runs[-1][1] == r.leaf - 1:
+            runs[-1] = (runs[-1][0], r.leaf, r.reason)
+        else:
+            runs.append((r.leaf, r.leaf, r.reason))
+    return runs
+
+
+def test_elbow_degenerate_slot_keeps_its_rejection_order(params):
+    # the second elbow_straight draw (q4 = pi) of the family test at seed 0
+    q = [0.25302495049945284, 2.5234200579690556, 1.8319506139048864, 3.141592653589793,
+         2.072944804207902, -2.7052036632283065, 1.3320015892936756]
+    res = solve(IkRequest(pose=forward_kinematics(params, q), psi=arm_angle(params, q),
+                          params=params))
+    assert _rejection_runs(res) == [(0, 3, "elbow_degenerate"), (4, 7, "duplicate"),
+                                    (12, 15, "arm_equation_mismatch")]
+
+
+@pytest.mark.parametrize(
+    "d_sc, al, psi, runs",
+    [
+        (0.4273961219687338, -0.29218137756801177, 1.5688585865238391,
+         [(4, 7, "duplicate"), (12, 15, "duplicate")]),
+        (0.6676173166531254, 1.7384512787802162, 1.5730563928159573,
+         [(4, 7, "duplicate"), (12, 15, "duplicate")]),
+        (0.644705763578213, -1.507352191532362, -1.5706064091644665,
+         [(4, 7, "duplicate"), (12, 15, "duplicate")]),
+        (0.4055362914602887, -3.097033380309343, 1.5737107447063956,
+         [(4, 7, "duplicate"), (12, 15, "duplicate")]),
+        (0.7435924555801503, 0.25903597303685366, 1.566334150875804,
+         [(0, 7, "cos_domain"), (12, 15, "duplicate")]),
+        (0.8879732785931771, -2.8928232726643004, 1.5699830444526046,
+         [(0, 7, "cos_domain"), (12, 15, "duplicate")]),
+        (0.8414202307153027, 2.270011154909999, 1.5702345211820723,
+         [(0, 7, "cos_domain"), (12, 15, "duplicate")]),
+        (0.8882691928781845, 1.1914814065032804, 1.570803455409634,
+         [(0, 3, "cos_domain"), (4, 7, "duplicate"), (12, 15, "duplicate")]),
+        (0.8531423401770353, -0.7305115377270761, -1.5707166219366533,
+         [(0, 3, "cos_domain"), (4, 7, "duplicate"), (12, 15, "duplicate")]),
+        (0.9140219515446386, -2.171760177458146, 1.5710023917896703,
+         [(0, 11, "cos_domain"), (12, 15, "duplicate")]),
+    ],
+)
+def test_duplicate_slots_keep_their_rejection_order(params, d_sc, al, psi, runs):
+    # on the y = 0 family (q = -pi/2) the quartic is a perfect square, and
+    # near psi = +-pi/2 the second slot of a double root fails as a whole
+    res = solve(IkRequest(pose=special_pose(params, d_sc, -math.pi / 2, al), psi=psi,
+                          params=params))
+    assert _rejection_runs(res) == runs
+    assert len(res.branches) + len(res.rejected) == 16
+
+
+# link lengths near 1e39 overflow the quartic's constant term to inf - inf,
+# and solve_quartic_core returns a NaN root
+HUGE_PARAMS = (1.795965853976888e+38, 1.5933577813232312e+36, 5.209365066727247e+39,
+               4.1383739087041256e+39)
+
+
+def test_nan_quartic_root_is_a_domain_rejection():
+    P = RobotParams(*HUGE_PARAMS)
+    q = [1.0228177086238945, 1.1808255725683416, -1.5491049538467039, 2.1256803808716036,
+         0.5346596191553452, -2.026530874975511, 1.1583047263768753]
+    res = solve(IkRequest(pose=forward_kinematics(P, q), psi=0.3, params=P))
+    assert not res.branches
+    assert _rejection_runs(res) == [(4, 15, "complex_root"), (0, 3, "cos_domain")]
+
+
+def test_huge_link_lengths_raise_only_armik_errors():
+    rng = np.random.default_rng(0)
+    solved = 0
+    for _ in range(400):
+        d_bs, d_se, d_ew, a_wr = 10.0 ** rng.uniform(30, 42, 4)
+        try:
+            P = RobotParams(d_bs, d_se, d_ew, min(a_wr, 0.5 * d_ew))
+        except InvalidParams:
+            continue
+        q = rng.uniform(-math.pi, math.pi, 7)
+        try:
+            res = solve(IkRequest(pose=forward_kinematics(P, q),
+                                  psi=rng.uniform(-math.pi, math.pi), params=P))
+        except ArmikError:
+            continue
+        labels = [br.label for br in res.branches] + [r.label for r in res.rejected]
+        assert sorted(labels) == sorted(leaf_label(leaf) for leaf in range(16))
+        solved += 1
+    assert solved >= 10
 
 
 def test_kernel_calls_the_helpers_perfbench_traces(params, monkeypatch):
