@@ -13,6 +13,7 @@ The table below is the one home of every numeric threshold on the solve and
 from dataclasses import dataclass
 import math
 from math import cos, sin  # fk_chain's trig: a global lookup, no attribute lookup
+from operator import itemgetter
 
 from .errors import AllCoefficientsZero, AxisParallel, DegenerateArm, ZeroSC
 
@@ -345,15 +346,7 @@ def solve_quartic_core(g4, g3, g2, g1, g0, degree_tol, root_merge_tol, complex_a
     mults), the roots and their multiplicities as lists; raises
     AllCoefficientsZero when every coefficient is zero.
     """
-    scale = abs(g4)
-    if abs(g3) > scale:
-        scale = abs(g3)
-    if abs(g2) > scale:
-        scale = abs(g2)
-    if abs(g1) > scale:
-        scale = abs(g1)
-    if abs(g0) > scale:
-        scale = abs(g0)
+    scale = max(abs(g4), abs(g3), abs(g2), abs(g1), abs(g0))
     if scale < 1e-300:
         raise AllCoefficientsZero("polynomial is identically zero")
     c4 = g4 / scale
@@ -374,12 +367,8 @@ def solve_quartic_core(g4, g3, g2, g1, g0, degree_tol, root_merge_tol, complex_a
         q = c - 0.5 * a * b + a * a * a / 8.0
         r = d - 0.25 * a * c + a * a * b / 16.0 - 3.0 * a * a * a * a / 256.0
         shift = -a / 4.0
-        use_biquad = False
-        s2 = 0.0
-        m = 0.0
-        if abs(q) <= BIQUAD_Q_TOL * (1.0 + abs(p) + abs(r)):
-            use_biquad = True
-        else:
+        use_biquad = abs(q) <= BIQUAD_Q_TOL * (1.0 + abs(p) + abs(r))
+        if not use_biquad:
             # resolvent m^3 + p m^2 + (p^2/4 - r) m - q^2/8 = 0; largest root
             m = solve_cubic_monic(p, 0.25 * p * p - r, -q * q / 8.0)[-1]
             s2 = 2.0 * m
@@ -387,8 +376,7 @@ def solve_quartic_core(g4, g3, g2, g1, g0, degree_tol, root_merge_tol, complex_a
                 s2_cut = BIQUAD_S2_TOL * (1.0 + abs(p) + math.sqrt(abs(r))) ** 2
             except OverflowError:  # the square is beyond the float range
                 s2_cut = math.inf
-            if s2 <= s2_cut:
-                use_biquad = True
+            use_biquad = s2 <= s2_cut
         if use_biquad:
             # y^4 + p y^2 + r = 0
             zd = p * p - 4.0 * r
@@ -420,13 +408,7 @@ def solve_quartic_core(g4, g3, g2, g1, g0, degree_tol, root_merge_tol, complex_a
             u = 0.5 * p + m
             v = 0.5 * q / s
             # (y^2 + s y + u - v)(y^2 - s y + u + v)
-            for half in (0, 1):
-                if half == 0:
-                    B = s
-                    C = u - v
-                else:
-                    B = -s
-                    C = u + v
+            for B, C in ((s, u - v), (-s, u + v)):
                 disc = B * B - 4.0 * C
                 if disc >= 0.0:
                     sd = math.sqrt(disc)
@@ -472,10 +454,10 @@ def solve_quartic_core(g4, g3, g2, g1, g0, degree_tol, root_merge_tol, complex_a
 
     # Newton polish on the scaled polynomial; a full step that increases |P|
     # is halved up to 4 times (closed form can overshoot badly when the
-    # depressed-quartic shift cancels against a small root)
-    nraw = len(raw)
-    for i in range(nraw):
-        x = raw[i]
+    # depressed-quartic shift cancels against a small root). Each root keeps
+    # |P| at its last evaluation, which picks the best root of a merged group
+    polished = []
+    for x in raw:
         fx = (((c4 * x + c3) * x + c2) * x + c1) * x + c0
         for _ in range(8):
             if fx == 0.0:
@@ -484,43 +466,36 @@ def solve_quartic_core(g4, g3, g2, g1, g0, degree_tol, root_merge_tol, complex_a
             if abs(dfx) < 1e-300:
                 break
             step = fx / dfx
-            accepted = False
             for _ in range(5):
                 xn = x - step
                 fn = (((c4 * xn + c3) * xn + c2) * xn + c1) * xn + c0
                 if abs(fn) <= abs(fx):
-                    if xn == x:
-                        accepted = False
-                        break
-                    x = xn
-                    fx = fn
-                    accepted = True
                     break
                 step *= 0.5
-            if not accepted:
+            else:
                 break
-        raw[i] = x
+            if xn == x:
+                break
+            x = xn
+            fx = fn
+        polished.append((x, abs(fx)))
+    # stable on the root alone, so 0.0 and -0.0 keep their order
+    polished.sort(key=itemgetter(0))
 
-    raw.sort()
-
-    # merge within root_merge_tol; there are at most 4 raw roots
+    # merge roots within root_merge_tol of their group's first into the one
+    # of least |P| (the first of equal ones); there are at most 4 raw roots
     roots = []
     mults = []
-    i = 0
-    while i < nraw:
-        j = i + 1
-        while j < nraw and raw[j] - raw[i] <= root_merge_tol:
-            j += 1
-        best = raw[i]
-        bestf = abs((((c4 * best + c3) * best + c2) * best + c1) * best + c0)
-        for t in range(i + 1, j):
-            ft = abs((((c4 * raw[t] + c3) * raw[t] + c2) * raw[t] + c1) * raw[t] + c0)
-            if ft < bestf:
-                best = raw[t]
-                bestf = ft
-        roots.append(best)
-        mults.append(j - i)
-        i = j
+    for x, fx in polished:
+        if roots and x - first <= root_merge_tol:
+            mults[-1] += 1
+            if fx < best_f:
+                roots[-1] = x
+                best_f = fx
+        else:
+            roots.append(x)
+            mults.append(1)
+            first, best_f = x, fx
     return len(roots), roots, mults
 
 
@@ -680,6 +655,7 @@ def ik_solve_core(params, tol, R07, p07, d_sc, q, al, psi):
     a_wr = params.a_wr
     pose_tol = tol.pose_tol
     angle_merge_tol = tol.angle_merge_tol
+    wrap_band = TWO_PI - angle_merge_tol
     branch_residual_tol = tol.branch_residual_tol
     sin_domain_tol = tol.sin_domain_tol
     psi_tol = tol.psi_tol
@@ -698,15 +674,9 @@ def ik_solve_core(params, tol, R07, p07, d_sc, q, al, psi):
     # expand multiplicities (summing to at most 4) into the root slots; a
     # slot born from a double root is retried with the opposite elbow-plane
     # sign (branch fold)
-    slot_t6 = []
-    slot_dup = []
-    for t6, m in zip(roots, mults):
-        for mcopy in range(m):
-            slot_t6.append(t6)
-            slot_dup.append(mcopy)
-    n_slot = len(slot_t6)
-    rej = list(LEAF_REJ["complex_root"][n_slot * 4:])
-    if n_slot == 0:
+    slots = [(t6, dup) for t6, m in zip(roots, mults) for dup in range(m)]
+    rej = list(LEAF_REJ["complex_root"][len(slots) * 4:])
+    if not slots:
         return acc, rej
 
     sq = math.sin(q)
@@ -721,9 +691,8 @@ def ik_solve_core(params, tol, R07, p07, d_sc, q, al, psi):
     L6 = links[6]
     prev_sign = 1.0
 
-    for slot in range(n_slot):
+    for slot, (t6, dup) in enumerate(slots):
         lo = 4 * slot
-        t6 = slot_t6[slot]
         # cos q6; `not <=` also rejects a NaN root, whose comparisons are False
         c6 = (t6 - a_wr) / d_ew
         if not abs(c6) <= 1.0 + sin_domain_tol:
@@ -743,23 +712,15 @@ def ik_solve_core(params, tol, R07, p07, d_sc, q, al, psi):
         s = tm1 + t2 + t3
         res_p = s + t4
         res_m = s - t4
-        sc6 = abs(tm1)
-        if abs(t2) > sc6:
-            sc6 = abs(t2)
-        if abs(t3) > sc6:
-            sc6 = abs(t3)
-        if abs(t4) > sc6:
-            sc6 = abs(t4)
-        if sc6 < 1.0e-300:
-            sc6 = 1.0e-300
-        if slot_dup[slot] == 0:
-            sgn6 = 1.0 if abs(res_p) <= abs(res_m) else -1.0
-            prev_sign = sgn6
-        else:
+        sc6 = max(abs(tm1), abs(t2), abs(t3), abs(t4), 1.0e-300)
+        if dup:
             # duplicate slot: the merged second branch has the opposite sign
             sgn6 = -prev_sign
+        else:
+            sgn6 = 1.0 if abs(res_p) <= abs(res_m) else -1.0
+            prev_sign = sgn6
         res6 = res_p if sgn6 > 0.0 else res_m
-        if slot_dup[slot]:
+        if dup:
             if abs(res6) > branch_residual_tol * sc6 or r6_mag == 0.0:
                 rej.extend(LEAF_REJ["duplicate"][lo:lo + 4])
                 continue
@@ -903,30 +864,26 @@ def ik_solve_core(params, tol, R07, p07, d_sc, q, al, psi):
                 if abs(wrap_angle(psi_b - psi)) > psi_tol:
                     rej.append(LEAF_REJ["psi_mismatch"][leaf])
                     continue
-                dup = False
                 for br in acc:
                     qb = br[0]
-                    # wrap_angle is the identity on (-3, 3), so a gap there
-                    # beyond the tolerance on joint 1 or 3 (the joints that
-                    # most often tell branches apart) settles the pair
+                    # a gap d between two joints in (-pi, pi] with
+                    # tol < |d| < 2 pi - tol settles the pair: wrap_angle(d)
+                    # is d, d -+ TWO_PI (exact by Sterbenz) or pi, each above
+                    # tol. Joints 1 and 3 most often tell branches apart
                     d = qu[1] - qb[1]
-                    if angle_merge_tol < d < 3.0 or -3.0 < d < -angle_merge_tol:
+                    if angle_merge_tol < abs(d) < wrap_band:
                         continue
                     d = u4 - qb[3]
-                    if angle_merge_tol < d < 3.0 or -3.0 < d < -angle_merge_tol:
+                    if angle_merge_tol < abs(d) < wrap_band:
                         continue
-                    same = True
                     for ji in range(7):
                         if abs(wrap_angle(qu[ji] - qb[ji])) > angle_merge_tol:
-                            same = False
                             break
-                    if same:
-                        dup = True
+                    else:
+                        rej.append(LEAF_REJ["duplicate"][leaf])
                         break
-                if dup:
-                    rej.append(LEAF_REJ["duplicate"][leaf])
-                    continue
-                acc.append((qu, slot, t6, r6, q8, s4i, s2i, arm_eq_res,
-                            pose_eq_res, perr))
+                else:
+                    acc.append((qu, slot, t6, r6, q8, s4i, s2i, arm_eq_res,
+                                pose_eq_res, perr))
 
     return acc, rej

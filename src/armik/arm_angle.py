@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import math
 
 from .errors import InvalidInput
-from .robot import Transform, _joint_floats, _vec
+from .robot import RobotParams, Transform, _check_params, _check_tolerance, _joint_floats, _vec
 from . import _kernels_impl as _K
 from ._kernels_impl import TOL_LEN, TOL_PARALLEL
 
@@ -30,6 +30,7 @@ def arm_angle(params, joints):
     tool z-axis is parallel to SC, DegenerateArm when the elbow lies on
     the SC line.
     """
+    _check_params(params)
     return _K.arm_angle_core(params._links, _joint_floats(joints), TOL_LEN, TOL_PARALLEL)
 
 
@@ -74,10 +75,18 @@ def reduce_pose(params, pose, tol_len=TOL_LEN, tol_parallel=TOL_PARALLEL):
     Raises ZeroSC when the axis-7 center falls within tol_len of the
     shoulder and AxisParallel when the sine of the angle between the tool
     z-axis and SC is below tol_parallel (the aligned frame is then not
-    unique).
+    unique). Raises InvalidInput unless params is a RobotParams and both
+    tolerances are positive finite numbers.
     """
     if not isinstance(pose, Transform):
         raise InvalidInput("pose must be a Transform")
+    # solve's arguments pass this cheap test; any other input gets the full checks
+    if not (isinstance(params, RobotParams) and type(tol_len) is float
+            and 0.0 < tol_len < math.inf and type(tol_parallel) is float
+            and 0.0 < tol_parallel < math.inf):
+        _check_params(params)
+        _check_tolerance("tol_len", tol_len)
+        _check_tolerance("tol_parallel", tol_parallel)
     return ReducedPose(*_K.reduce_pose_core(pose._rot, pose._pos, params.d_bs, tol_len,
                                             tol_parallel))
 

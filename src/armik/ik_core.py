@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import math
 
 from .errors import InvalidInput
-from .robot import JointConfig, RobotParams, Transform, _check_tolerance
+from .robot import JointConfig, RobotParams, Transform, _check_params, _check_tolerance
 from .arm_angle import reduce_pose
 from . import _kernels_impl as _K
 from ._kernels_impl import (
@@ -118,8 +118,7 @@ def _check_fields(pose, psi, params, tolerances):
     """Check the fields of a request; returns psi as a float in (-pi, pi]."""
     if not isinstance(pose, Transform):
         raise InvalidInput("pose must be a Transform")
-    if not isinstance(params, RobotParams):
-        raise InvalidInput("params must be a RobotParams")
+    _check_params(params)
     if not isinstance(tolerances, ToleranceSet):
         raise InvalidInput("tolerances must be a ToleranceSet")
     try:

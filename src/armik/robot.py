@@ -84,6 +84,12 @@ def _check_tolerance(name, v):
         raise InvalidInput(f"tolerance {name} must be a positive finite number")
 
 
+def _check_params(params):
+    """InvalidInput unless params is a RobotParams."""
+    if not isinstance(params, RobotParams):
+        raise InvalidInput("params must be a RobotParams")
+
+
 def check_rotation(R):
     """Validate that R is a proper rotation within ROT_TOL. Returns its
     entries as a row-major 9-tuple of floats."""
@@ -270,8 +276,11 @@ class RobotParams:
                     f"mdh {name} column deviates from the supported chain "
                     f"structure by {dev:.3e}"
                 )
-        # cross-check the declared lengths against a zero-joint FK pass
+        # cross-check the declared lengths against a zero-joint FK pass; its
+        # rounding grows with the coordinates, so the tolerance scales with
+        # the chain's size (a short a_wr is placed among long links)
         _, C, S, E, W = _K.fk_chain(self._links, [0.0] * 7)
+        tol = PARAMS_STRUCTURE_TOL * max(1.0, self.d_bs + self.d_se + self.d_ew + self.a_wr)
         checks = (
             (math.dist(E, S), self.d_se, "shoulder-elbow"),
             (math.dist(W, E), self.d_ew, "elbow-wrist"),
@@ -279,7 +288,7 @@ class RobotParams:
             (S[2], self.d_bs, "base-shoulder height"),
         )
         for got, want, name in checks:
-            if abs(got - want) > PARAMS_STRUCTURE_TOL:
+            if abs(got - want) > tol:
                 raise InvalidParams(
                     f"zero-pose {name} distance {got:.12f} does not match "
                     f"declared {want:.12f}"
@@ -343,11 +352,13 @@ def _joint_floats(joints):
 
 def forward_kinematics(params, joints):
     """Pose of frame 7 in base coordinates."""
+    _check_params(params)
     R, p, _, _, _ = _K.fk_chain(params._links, _joint_floats(joints))
     return Transform._from_floats(R, p)
 
 
 def frame_points(params, joints):
     """Shoulder, elbow, wrist and axis-7 points in base coordinates."""
+    _check_params(params)
     _, p, S, E, W = _K.fk_chain(params._links, _joint_floats(joints))
     return FramePoints(_array(S), _array(E), _array(W), _array(p))

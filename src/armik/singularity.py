@@ -10,7 +10,7 @@ the compound branch-fold expression is measured in meters.
 from dataclasses import dataclass
 import math
 
-from .robot import _check_tolerance, _joint_floats, forward_kinematics
+from .robot import _check_params, _check_tolerance, _joint_floats, forward_kinematics
 from . import _kernels_impl as _K
 from ._kernels_impl import HIT_TOL, HIT_TOL_M, SC_LEN_TOL
 
@@ -43,6 +43,7 @@ def classify(joints, params, hit_tol=HIT_TOL, hit_tol_m=HIT_TOL_M,
     < hit_tol_m for the meter-valued branch-fold expression. Both must be
     positive finite numbers (InvalidInput otherwise).
     """
+    _check_params(params)
     _check_tolerance("hit_tol", hit_tol)
     _check_tolerance("hit_tol_m", hit_tol_m)
     import numpy as np

@@ -14,6 +14,7 @@ from armik import (
     RobotParams,
     ZeroSC,
     arm_angle,
+    classify,
     forward_kinematics,
     frame_points,
     reduce_pose,
@@ -21,6 +22,7 @@ from armik import (
     IkRequest,
     Transform,
 )
+from armik import default_params
 from armik.arm_angle import arm_angle_points, special_pose
 from conftest import quartic_roots, sample_far_joints
 
@@ -189,6 +191,66 @@ def test_arm_angle_points_huge_coordinates(scale, tool_z, want):
         shifted = [scale / 4, 0.0, 0.0]
         moved = [[a + b for a, b in zip(P, shifted)] for P in (E, C)]
         assert abs(arm_angle_points(shifted, *moved, tool_z) - want) < 1e-12
+
+
+Q_CALL = [0.3, -0.7, 1.1, -1.9, 0.4, 0.9, -2.2]
+POSE_CALL = Transform(np.eye(3), [0.3, 0.1, 0.5])
+
+
+@pytest.mark.parametrize("bad", [None, {"d_bs": 0.36}, "default"], ids=["none", "dict", "str"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda P: forward_kinematics(P, Q_CALL),
+        lambda P: frame_points(P, Q_CALL),
+        lambda P: arm_angle(P, Q_CALL),
+        lambda P: reduce_pose(P, POSE_CALL),
+        lambda P: classify(Q_CALL, P),
+    ],
+    ids=["forward_kinematics", "frame_points", "arm_angle", "reduce_pose", "classify"],
+)
+def test_public_functions_reject_foreign_params(call, bad):
+    # these read params' float tables directly, which raised AttributeError
+    with pytest.raises(InvalidInput, match="^params must be a RobotParams$"):
+        call(bad)
+
+
+# C on the shoulder (zero_sc) and the tool z-axis along SC (axis_parallel):
+# the poses where a tolerance of zero or NaN divided by zero
+AT_SHOULDER = Transform(np.eye(3), [0.0, 0.0, 0.36])
+ALONG_SC = Transform(np.eye(3), [0.0, 0.0, 0.86])
+
+
+@pytest.mark.parametrize(
+    "pose, tol_len, tol_parallel",
+    [
+        (ALONG_SC, 1e-9, 0.0),
+        (ALONG_SC, 1e-9, math.nan),
+        (ALONG_SC, 1e-9, "1e-8"),
+        (ALONG_SC, 1e-9, math.inf),
+        (POSE_CALL, 1e-9, -1e-8),
+        (AT_SHOULDER, 0.0, 1e-8),
+        (AT_SHOULDER, math.nan, 1e-8),
+        (AT_SHOULDER, -1e-9, 1e-8),
+        (AT_SHOULDER, "1e-9", 1e-8),
+        (POSE_CALL, True, 1e-8),
+        (POSE_CALL, None, 1e-8),
+    ],
+    ids=["parallel_zero", "parallel_nan", "parallel_str", "parallel_inf", "parallel_negative",
+         "len_zero", "len_nan", "len_negative", "len_str", "len_bool", "len_none"],
+)
+def test_reduce_pose_rejects_bad_tolerances(pose, tol_len, tol_parallel):
+    with pytest.raises(InvalidInput, match="^tolerance tol_(len|parallel) must be a positive"):
+        reduce_pose(default_params(), pose, tol_len, tol_parallel)
+
+
+def test_reduce_pose_takes_any_positive_finite_tolerance(params):
+    pose = special_pose(params, 0.4, -0.7, 0.3)
+    want = reduce_pose(params, pose)
+    assert reduce_pose(params, pose, np.float64(1e-9), np.float64(1e-8)) == want
+    assert reduce_pose(params, pose, 1e-300, 1e-300) == want
+    with pytest.raises(AxisParallel):
+        reduce_pose(params, pose, 1e-9, 1)  # an int is a tolerance too
 
 
 def test_reduce_pose_fixed_point(params):

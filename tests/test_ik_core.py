@@ -396,6 +396,82 @@ def test_duplicate_slots_keep_their_rejection_order(params, d_sc, al, psi, runs)
     assert len(res.branches) + len(res.rejected) == 16
 
 
+# far configurations whose pose has 8 branches at their own arm angle
+MERGE_QS = [
+    [1.104780879345718, -1.794960264581879, -1.197248199877064, 1.8816009792540518,
+     3.1152164628603014, -2.2479238016086907, -2.646945536556531],
+    [-2.0054431241815376, -0.8818645879544551, -2.075843476015642, 0.5576912272745491,
+     0.7339232546257386, -2.479434899007666, 0.41300037403097],
+    [-3.1125037466513974, -0.219162533777149, 2.9884224039080935, 1.8813643650301728,
+     0.6083528718816718, -1.097360481078085, -1.8450956213462624],
+    [-0.3598658753193402, -1.394607015943117, 2.355929591892882, -1.802285550756728,
+     -1.4184604722856113, 1.9300813440050861, -1.4554035804673486],
+    [-1.4573039701220671, -2.6962292683681985, -0.20603309917760804, -1.4815409152789227,
+     2.443794898703956, -1.3426016390455835, 1.7201283628398878],
+]
+AEM, DUP = "arm_equation_mismatch", "duplicate"
+
+
+@pytest.mark.parametrize(
+    "i, tol, accepted, runs",
+    [
+        (0, 2.5, [4, 5, 6, 7, 8, 9, 10, 11], [(0, 3, AEM), (12, 15, AEM)]),
+        (0, 3.0, [4, 5, 6, 7], [(0, 3, AEM), (8, 11, DUP), (12, 15, AEM)]),
+        (0, 3.2, [4], [(0, 3, AEM), (5, 11, DUP), (12, 15, AEM)]),
+        (0, 7.0, [4], [(0, 3, AEM), (5, 11, DUP), (12, 15, AEM)]),
+        (1, 2.5, [4, 5, 6, 7, 8, 9, 10, 11], [(0, 3, AEM), (12, 15, AEM)]),
+        (1, 3.0, [4, 5, 6, 7], [(0, 3, AEM), (8, 11, DUP), (12, 15, AEM)]),
+        (1, 3.2, [4], [(0, 3, AEM), (5, 11, DUP), (12, 15, AEM)]),
+        (1, 7.0, [4], [(0, 3, AEM), (5, 11, DUP), (12, 15, AEM)]),
+        (2, 2.5, [4, 5, 6, 7, 8, 9, 10, 11], [(0, 3, AEM), (12, 15, AEM)]),
+        (2, 3.0, [4, 5, 6, 7, 8, 9, 10, 11], [(0, 3, AEM), (12, 15, AEM)]),
+        (2, 3.2, [4], [(0, 3, AEM), (5, 11, DUP), (12, 15, AEM)]),
+        (2, 7.0, [4], [(0, 3, AEM), (5, 11, DUP), (12, 15, AEM)]),
+        (3, 2.5, [4, 5, 6, 7, 8, 9, 10, 11], [(0, 3, AEM), (12, 15, AEM)]),
+        (3, 3.0, [4, 5, 6, 7, 8, 9, 10, 11], [(0, 3, AEM), (12, 15, AEM)]),
+        (3, 3.2, [4], [(0, 3, AEM), (5, 11, DUP), (12, 15, AEM)]),
+        (3, 7.0, [4], [(0, 3, AEM), (5, 11, DUP), (12, 15, AEM)]),
+        (4, 2.5, [4, 5, 6, 7, 8, 9, 10, 11], [(0, 3, AEM), (12, 15, AEM)]),
+        (4, 3.0, [4, 5, 6, 7, 8, 9, 10, 11], [(0, 3, AEM), (12, 15, AEM)]),
+        (4, 3.2, [4], [(0, 3, AEM), (5, 11, DUP), (12, 15, AEM)]),
+        (4, 7.0, [4], [(0, 3, AEM), (5, 11, DUP), (12, 15, AEM)]),
+    ],
+)
+def test_duplicate_scan_at_large_merge_tolerances(params, i, tol, accepted, runs):
+    # recorded from the scan with a |d| < 3 fast path: from tol = pi on, every
+    # pair of branches is one, and at 3.0 the gaps in (3, 2 pi - 3) settle
+    q = MERGE_QS[i]
+    res = solve(IkRequest(pose=forward_kinematics(params, q), psi=arm_angle(params, q),
+                          params=params, tolerances=ToleranceSet(angle_merge_tol=tol)))
+    assert [K.leaf_label(4 * b.root_index + 2 * (b.q4_sign < 0) + (b.q2_sign < 0))
+            for b in res.branches] == [K.leaf_label(leaf) for leaf in accepted]
+    assert _rejection_runs(res) == runs
+
+
+@pytest.mark.parametrize("tol", [1e-7, 1e-3, 0.5, 3.2])
+def test_accepted_branches_differ_by_more_than_the_merge_tolerance(params, tol):
+    rng = np.random.default_rng(9)
+    requests = []
+    for _ in range(20):
+        q = sample_far_joints(rng, params)
+        requests.append((forward_kinematics(params, q), arm_angle(params, q)))
+    for _ in range(20):
+        # near psi = +-pi/2 on the y = 0 family, double roots give duplicates
+        pose = special_pose(params, rng.uniform(0.4, 0.9), -math.pi / 2,
+                            rng.uniform(-math.pi, math.pi))
+        requests.append((pose, rng.choice([-1.0, 1.0]) * math.pi / 2 + rng.normal() * 1e-3))
+    merged = 0
+    for pose, psi in requests:
+        res = solve(IkRequest(pose=pose, psi=psi, params=params,
+                              tolerances=ToleranceSet(angle_merge_tol=tol)))
+        merged += sum(r.reason == "duplicate" for r in res.rejected)
+        joints = [b.joints.q for b in res.branches]
+        for a in range(len(joints)):
+            for b in range(a):
+                assert max(abs(_wrap(x - y)) for x, y in zip(joints[a], joints[b])) > tol
+    assert merged > 0
+
+
 # link lengths near 1e39 overflow the quartic's constant term to inf - inf,
 # and solve_quartic_core returns a NaN root
 HUGE_PARAMS = (1.795965853976888e+38, 1.5933577813232312e+36, 5.209365066727247e+39,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -150,3 +152,53 @@ def test_residuals_small():
         for r in roots:
             # relative backward error of each reported root
             assert abs(np.polyval(c, r)) < 1e-7 * scale * max(1.0, abs(r)) ** 4
+
+
+# edge cases of the polish, sort and merge: coefficients and the output
+# (count, roots, multiplicities) recorded by repr from the if-chain and
+# flag form of solve_quartic_core
+NAN, INF = math.nan, math.inf
+EDGE_CASES = {
+    "double_root_at_zero": ([1.0, 0.0, -1.0, 0.0, 0.0], (3, [-1.0, 0.0, 1.0], [1, 2, 1])),
+    "double_root_at_signed_zero": ([1.0, -0.0, -1.0, -0.0, -0.0],
+                                   (3, [-1.0, 0.0, 1.0], [1, 2, 1])),
+    "double_root_at_zero_ferrari": ([1.0, -3.0, 2.0, 0.0, 0.0],
+                                    (3, [0.0, 0.9999999999999998, 2.0000000000000004], [2, 1, 1])),
+    "double_root_at_minus_zero": ([-0.0, -0.0, -1.0, -0.0, 0.0], (1, [-0.0], [2])),
+    "triple_root_at_minus_zero": ([-1.0, -0.0, 3.0, -2.0, -0.0], (2, [-2.0, -0.0], [1, 3])),
+    "three_merged_least_not_first": ([1.0, 4.508565296493996, -5.9978958967454155,
+                                      2.3858061757354876, -0.3087555336624386],
+                                     (2, [-5.647193528029998, 0.37954274384533404], [1, 3])),
+    "close_roots_group_on_their_first": ([1.0, -0.8154066280484014, 0.10045475471033039,
+                                          0.058082227695733665, -0.01268108817072213],
+                                         (3, [-0.2687129952141483, 0.36137320814854745,
+                                              0.3613732146009395], [1, 2, 1])),
+    "nan_leading": ([NAN, 1.0, -2.0, 0.5, 1.0], (0, [], [])),
+    "nan_middle": ([1.0, -3.0, NAN, 1.0, 2.0], (0, [], [])),
+    "nan_constant": ([1.0, -3.0, 2.0, 1.0, NAN], (0, [], [])),
+    "nan_coefficient_gives_nan_roots": ([0.7542256340479634, -1e+300, 42.499736884243475, NAN,
+                                         0.01215521913039327],
+                                        (3, [NAN, NAN, NAN], [1, 1, 1])),
+    "nan_constant_gives_a_nan_root": ([-0.03364920173925638, 2.8063705431784345, 4.654181539155186,
+                                       -1e+300, NAN],
+                                      (1, [NAN], [1])),
+    "nan_coefficient_gives_a_finite_root": ([-0.004550729712246006, NAN, 1e+300,
+                                             142.38603101459455, 2.4391106002761824],
+                                            (1, [-7.119301550729727e-299], [2])),
+    "inf_leading": ([INF, 1.0, -2.0, 0.5, 1.0], (0, [], [])),
+    "inf_middle": ([1.0, -3.0, -INF, 1.0, 2.0], (0, [], [])),
+    "inf_constant": ([1.0, -3.0, 2.0, 1.0, -INF], (0, [], [])),
+    "biquad_complex_pair_accepted": ([1.0, 0.0, -2.0, 0.0, 1.000000000000001],
+                                     (2, [-1.0, 1.0], [2, 2])),
+    "backtracking_runs_out": ([-0.002039277339174826, 1641.3985978131495, -4.382371443180145e-05,
+                               -7.378586338357413e-07, -1572.2538619450306],
+                              (2, [8.847564458847046e-09, 804892.2852628133], [3, 1])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASES))
+def test_edge_case_outputs_are_pinned(name):
+    # repr tells 0.0 from -0.0 and compares NaN roots
+    coeffs, want = EDGE_CASES[name]
+    out = K.solve_quartic_core(*coeffs, DEGREE_TOL, ROOT_MERGE_TOL, COMPLEX_PAIR_TOL)
+    assert repr(out) == repr(want)

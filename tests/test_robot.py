@@ -291,6 +291,29 @@ def test_params_validation():
             RobotParams(*args, mdh=mdh)
 
 
+@pytest.mark.parametrize("lo, hi, n", [(6, 14, 160), (0, 45, 160)])
+def test_params_accept_their_canonical_table_at_any_scale(lo, hi, n):
+    # the zero-pose FK cross-check rounds with the chain's size: against an
+    # absolute 1e-9 m, most tables with links beyond about 1e7 m raised
+    rng = np.random.default_rng(lo)
+    for _ in range(n):
+        d_bs, d_se, d_ew = 10.0 ** rng.uniform(lo, hi, 3)
+        a_wr = d_ew * 10.0 ** rng.uniform(-12, -0.31)
+        P = RobotParams(d_bs, d_se, d_ew, a_wr)
+        assert RobotParams(d_bs, d_se, d_ew, a_wr, P.mdh).to_dict() == P.to_dict()
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e8, 1e13])
+@pytest.mark.parametrize("col", [0, 1, 2])
+def test_params_still_reject_a_table_off_the_chain(scale, col):
+    # the shoulder-elbow row's alpha, a or d moved by 1e-6 of the chain's size
+    d_bs, d_se, d_ew, a_wr = (scale * v for v in (0.36, 0.42, 0.4, 0.0905))
+    bad = RobotParams(d_bs, d_se, d_ew, a_wr).mdh.copy()
+    bad[2, col] += 1e-6 * (1.0 if col == 0 else scale)
+    with pytest.raises(InvalidParams, match="column deviates from the supported chain"):
+        RobotParams(d_bs, d_se, d_ew, a_wr, mdh=bad)
+
+
 def test_params_are_immutable_and_own_their_table():
     # the shared built-in instance: were these writes to succeed, they would
     # leak into every later default_params() call
