@@ -338,6 +338,11 @@ def solve_cubic_monic(a2, a1, a0):
                          amp * math.cos((th + TWO_PI) / 3.0) + shift)))
 
 
+# the polished roots' sort key, built once: stable on the root alone, so
+# 0.0 and -0.0 keep their order
+_BY_ROOT = itemgetter(0)
+
+
 def solve_quartic_core(g4, g3, g2, g1, g0, degree_tol, root_merge_tol, complex_accept):
     """Real roots of g4 t^4 + ... + g0, ascending, merged with multiplicities.
 
@@ -346,7 +351,18 @@ def solve_quartic_core(g4, g3, g2, g1, g0, degree_tol, root_merge_tol, complex_a
     mults), the roots and their multiplicities as lists; raises
     AllCoefficientsZero when every coefficient is zero.
     """
-    scale = max(abs(g4), abs(g3), abs(g2), abs(g1), abs(g0))
+    # max(abs(g4), ..., abs(g0)) as compares, which skip the builtin call:
+    # the first of equal values is kept, and a NaN is kept or passed over
+    # as max does
+    scale = abs(g4)
+    if abs(g3) > scale:
+        scale = abs(g3)
+    if abs(g2) > scale:
+        scale = abs(g2)
+    if abs(g1) > scale:
+        scale = abs(g1)
+    if abs(g0) > scale:
+        scale = abs(g0)
     if scale < 1e-300:
         raise AllCoefficientsZero("polynomial is identically zero")
     c4 = g4 / scale
@@ -479,8 +495,7 @@ def solve_quartic_core(g4, g3, g2, g1, g0, degree_tol, root_merge_tol, complex_a
             x = xn
             fx = fn
         polished.append((x, abs(fx)))
-    # stable on the root alone, so 0.0 and -0.0 keep their order
-    polished.sort(key=itemgetter(0))
+    polished.sort(key=_BY_ROOT)
 
     # merge roots within root_merge_tol of their group's first into the one
     # of least |P| (the first of equal ones); there are at most 4 raw roots
@@ -712,7 +727,17 @@ def ik_solve_core(params, tol, R07, p07, d_sc, q, al, psi):
         s = tm1 + t2 + t3
         res_p = s + t4
         res_m = s - t4
-        sc6 = max(abs(tm1), abs(t2), abs(t3), abs(t4), 1.0e-300)
+        # max(abs(tm1), abs(t2), abs(t3), abs(t4), 1.0e-300) as compares,
+        # as for the quartic's scale
+        sc6 = abs(tm1)
+        if abs(t2) > sc6:
+            sc6 = abs(t2)
+        if abs(t3) > sc6:
+            sc6 = abs(t3)
+        if abs(t4) > sc6:
+            sc6 = abs(t4)
+        if 1.0e-300 > sc6:
+            sc6 = 1.0e-300
         if dup:
             # duplicate slot: the merged second branch has the opposite sign
             sgn6 = -prev_sign

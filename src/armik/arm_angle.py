@@ -93,8 +93,22 @@ def reduce_pose(params, pose, tol_len=TOL_LEN, tol_parallel=TOL_PARALLEL):
 
 def special_pose(params, d_sc, q, al):
     """Tool pose whose aligned standard form is (d_sc, q, al) with identity
-    alignment: C on the base z-axis at height d_bs + d_sc."""
+    alignment: C on the base z-axis at height d_bs + d_sc.
+
+    Raises InvalidInput unless params is a RobotParams and d_sc, q and al
+    are finite real numbers (not bools or strings).
+    """
+    import numbers
     import numpy as np
+    _check_params(params)
+    for name, v in (("d_sc", d_sc), ("q", q), ("al", al)):
+        # float() of a huge int overflows; math.isfinite would too
+        try:
+            ok = isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(float(v))
+        except OverflowError:
+            ok = False
+        if not ok:
+            raise InvalidInput(f"{name} must be a finite number")
     cq, sq = math.cos(q), math.sin(q)
     ca, sa = math.cos(al), math.sin(al)
     Ry = np.array([[cq, 0.0, sq], [0.0, 1.0, 0.0], [-sq, 0.0, cq]])

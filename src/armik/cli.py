@@ -18,7 +18,7 @@ import sys
 from .errors import ArmikError, InvalidInput, InvalidRotation
 from .robot import JointConfig, Transform, _read_floats, default_params, load_params
 from .arm_angle import arm_angle
-from .ik_core import IkRequest, SolutionSet, solve
+from .ik_core import IkRequest, SolutionSet, _branch_label, solve
 from . import _kernels_impl as _K
 from ._kernels_impl import HIT_TOL, HIT_TOL_M, QUAT_NORM_TOL, TOL_LEN, TOL_PARALLEL
 
@@ -28,8 +28,11 @@ _PARSE_TAGS = ("invalid_params", "invalid_rotation", "invalid_input")
 SWEEP_MAX_COUNT = 10000
 
 
-# encoded rejection entries, keyed by (label, reason, category); labels and
-# reasons come from fixed vocabularies, so the table stays small
+# encoded rejection entries of the kernel's shared LEAF_REJ records, keyed by
+# the record's identity. Those records live as long as the kernel module, so
+# no key is reused by another object, and the table holds at most one entry
+# per (reason, leaf). A dict keyed by the record itself would hash its four
+# fields in Python on every lookup
 _REJECTED_JSON = {}
 # A branch object is written in fragments. Per branch: its label, joints
 # 1-3, q2_sign and pose_error. Per elbow pair (root slot and q4_sign):
@@ -48,6 +51,8 @@ def _fmt(obj):
 
     A SolutionSet is written as the `ik` result object.
     """
+    if isinstance(obj, SolutionSet):
+        return _fmt_solution_set(obj)
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -62,8 +67,6 @@ def _fmt(obj):
         return "[" + ",".join(_fmt(v) for v in obj) + "]"
     if isinstance(obj, dict):
         return "{" + ",".join(json.dumps(str(k)) + ":" + _fmt(v) for k, v in obj.items()) + "}"
-    if isinstance(obj, SolutionSet):
-        return _fmt_solution_set(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -78,10 +81,8 @@ def _fmt_solution_set(res):
     unset = object()
     s_root = s_q6 = s_q7 = s_t6 = s_r6 = s_q8 = s_arm = s_pose = unset
     p_q4 = p_q5 = p_sign = unset
-    for b in res.branches:
-        q1, q2, q3, q4, q5, q6, q7 = b.joints._q
-        root, t6, r6, q8 = b.root_index, b.t6, b.r6, b.q8
-        arm, pose = b.arm_eq_residual, b.pose_eq_residual
+    for qu, root, t6, r6, q8, sign, q2_sign, arm, pose, perr in res._rows():
+        q1, q2, q3, q4, q5, q6, q7 = qu
         if not (
             root is s_root and q6 is s_q6 and q7 is s_q7 and t6 is s_t6
             and r6 is s_r6 and q8 is s_q8 and arm is s_arm and pose is s_pose
@@ -93,24 +94,30 @@ def _fmt_solution_set(res):
             slot_tail = _SLOT_TAIL_JSON % (arm, pose)
             # the pair fragment holds slot_joints
             p_sign = unset
-        sign = b.q4_sign
         if not (q4 is p_q4 and q5 is p_q5 and sign is p_sign):
             p_q4, p_q5, p_sign = q4, q5, sign
             pair = _PAIR_JSON % (q4, q5, slot_joints, sign)
-        branches.append(_BRANCH_JSON % (
-            b.label, q1, q2, q3, pair, b.q2_sign, slot_head, b.pose_error, slot_tail))
+        branches.append(_BRANCH_JSON % (_branch_label(root, sign, q2_sign), q1, q2, q3, pair,
+                                        q2_sign, slot_head, perr, slot_tail))
     rejected = []
     for r in res.rejected:
-        key = (r.label, r.reason, r.category)
-        enc = _REJECTED_JSON.get(key)
+        enc = _REJECTED_JSON.get(id(r))
         if enc is None:
-            enc = _REJECTED_JSON[key] = _fmt(
-                {"branch": r.label, "reason": r.reason, "category": r.category}
-            )
+            enc = _fmt({"branch": r.label, "reason": r.reason, "category": r.category})
+            if _is_shared(r):
+                _REJECTED_JSON[id(r)] = enc
         rejected.append(enc)
     return '{"count":%d,"branches":[%s],"rejected":[%s]}' % (
         len(branches), ",".join(branches), ",".join(rejected),
     )
+
+
+def _is_shared(r):
+    # r is the kernel's LEAF_REJ record of its reason and leaf
+    try:
+        return _K.LEAF_REJ[r.reason][r.leaf] is r
+    except (KeyError, IndexError, TypeError):
+        return False
 
 
 def _error_obj(exc):
@@ -258,12 +265,14 @@ def _cmd_sweep(params, item):
     for psi in grid:
         try:
             res = solve(IkRequest(pose=pose, psi=psi, params=params))
+            rows = res._rows()
             results.append(
                 {
                     "psi": psi,
-                    "count": len(res.branches),
+                    "count": len(rows),
                     "branches": [
-                        {"label": b.label, "joints": b.joints._q} for b in res.branches
+                        {"label": _branch_label(root, q4_sign, q2_sign), "joints": qu}
+                        for qu, root, _, _, _, q4_sign, q2_sign, *_ in rows
                     ],
                     "rejected_count": len(res.rejected),
                 }
@@ -297,22 +306,26 @@ _ITEM_HANDLERS = {
 
 
 def _read_input(args):
-    if args.json is not None:
-        text = args.json
-    elif args.input == "-" or args.input is None:
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if args.json is not None:
+            text = args.json
+        elif args.input == "-" or args.input is None:
+            text = sys.stdin.read()
+        else:
             with open(args.input, "r") as f:
                 text = f.read()
-        except OSError as e:
-            raise InvalidInput(f"cannot read input: {e}") from None
+    except OSError as e:
+        raise InvalidInput(f"cannot read input: {e}") from None
+    except ValueError as e:  # bytes that do not decode, or a NUL in the path
+        raise InvalidInput(f"cannot read input: {e}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise InvalidInput(f"input is not valid JSON: {e}") from None
     except RecursionError:
         raise InvalidInput("input JSON is nested too deeply") from None
+    except ValueError as e:  # an integer with more digits than int() takes
+        raise InvalidInput(f"input JSON cannot be read: {e}") from None
 
 
 def _write_output(args, obj):

@@ -22,7 +22,9 @@ from dataclasses import dataclass
 import math
 
 from .errors import InvalidInput
-from .robot import JointConfig, RobotParams, Transform, _check_params, _check_tolerance
+from .robot import (
+    JointConfig, RobotParams, Transform, _OnRead, _check_params, _check_tolerance, _joint_floats,
+)
 from .arm_angle import reduce_pose
 from . import _kernels_impl as _K
 from ._kernels_impl import (
@@ -80,25 +82,62 @@ class IkBranch:
 
     @property
     def label(self):
-        # the kernel's leaf number: 4 per root slot, 2 per elbow sign, 1 per shoulder sign
-        return _LEAF_LABELS[4 * self.root_index + 2 * (self.q4_sign < 0) + (self.q2_sign < 0)]
+        return _branch_label(self.root_index, self.q4_sign, self.q2_sign)
+
+
+def _branch_label(root_index, q4_sign, q2_sign):
+    # the kernel's leaf number: 4 per root slot, 2 per elbow sign, 1 per shoulder sign
+    return _LEAF_LABELS[4 * root_index + 2 * (q4_sign < 0) + (q2_sign < 0)]
+
+
+def _verified_joints(qu):
+    # the kernel's joint tuples are finite and FK-verified, so they become
+    # the floats of a JointConfig without the checks of its __post_init__
+    jc = object.__new__(JointConfig)
+    jc._q = qu
+    return jc
+
+
+def _branches_of(rows):
+    # the IkBranch of each of the kernel's accepted rows
+    return [
+        IkBranch(_verified_joints(qu), slot, t6, r6, q8, s4, s2, perr, arm_res, pose_res)
+        for qu, slot, t6, r6, q8, s4, s2, arm_res, pose_res, perr in rows
+    ]
 
 
 @dataclass
 class SolutionSet:
-    """All accepted branches plus the rejection table (16 leaves total)."""
+    """All accepted branches plus the rejection table (16 leaves total).
 
-    branches: list
+    A solve keeps the kernel's rows under _branches; branches is built from
+    them when first read. len() and joints_array() read the rows while
+    branches is unread, and the branch objects once it has been read.
+    """
+
+    branches: list = _OnRead(_branches_of)
     rejected: list
 
+    def _rows(self):
+        """The accepted branches as the kernel's rows, (joints, root_index,
+        t6, r6, q8, q4_sign, q2_sign, arm_eq_residual, pose_eq_residual,
+        pose_error): the kernel's own while branches is unread, else taken
+        from the branch objects, so an edit made after the read shows."""
+        d = self.__dict__
+        if "branches" not in d:
+            return d["_branches"]
+        return [(_joint_floats(b.joints), b.root_index, b.t6, b.r6, b.q8, b.q4_sign, b.q2_sign,
+                 b.arm_eq_residual, b.pose_eq_residual, b.pose_error) for b in d["branches"]]
+
     def __len__(self):
-        return len(self.branches)
+        return len(self._rows())
 
     def joints_array(self):
         import numpy as np
-        if not self.branches:
+        rows = self._rows()
+        if not rows:
             return np.zeros((0, 7))
-        return np.stack([b.joints.q for b in self.branches])
+        return np.array([row[0] for row in rows])
 
 
 @dataclass
@@ -130,22 +169,11 @@ def _check_fields(pose, psi, params, tolerances):
     return _K.wrap_angle(psi)
 
 
-def _verified_joints(qu):
-    # the kernel's joint tuples are finite and FK-verified, so they become
-    # the floats of a JointConfig without the checks of its __post_init__
-    jc = object.__new__(JointConfig)
-    jc._q = qu
-    return jc
-
-
 def _assemble(kout):
-    accepted, rej = kout
-    branches = [
-        IkBranch(_verified_joints(qu), slot, t6, r6, q8, s4, s2, perr,
-                 arm_res, pose_res)
-        for qu, slot, t6, r6, q8, s4, s2, arm_res, pose_res, perr in accepted
-    ]
-    return SolutionSet(branches=branches, rejected=rej)
+    # the kernel's rows, with branches left to be built when first read
+    res = object.__new__(SolutionSet)
+    res._branches, res.rejected = kout
+    return res
 
 
 def solve(request):

@@ -18,6 +18,7 @@ import functools
 import json
 import math
 import importlib.resources
+import os
 import sys
 
 from .errors import InvalidInput, InvalidParams, InvalidRotation
@@ -165,12 +166,15 @@ class Transform:
         return f"Transform(rotation={self.rotation!r}, translation={self.translation!r})"
 
 
-class _ArrayOnRead:
-    """A dataclass field that __post_init__ keeps as floats under "_" + its
-    name, read as a float64 array built once, then a plain attribute."""
+class _OnRead:
+    """A dataclass field whose instance keeps a source value under "_" + its
+    name; build(source) makes the field's value once, when it is first read,
+    and it is a plain attribute from then on. A value given to the
+    constructor is a plain attribute from the start, unless __post_init__
+    moves it to the source name."""
 
-    def __init__(self, writeable, default=MISSING):
-        self.writeable, self.default = writeable, default
+    def __init__(self, build, default=MISSING):
+        self.build, self.default = build, default
 
     def __set_name__(self, owner, name):
         self.name = name
@@ -178,7 +182,7 @@ class _ArrayOnRead:
     def __get__(self, obj, owner=None):
         if obj is None:  # on the class: the field's default, MISSING if none
             return self.default
-        value = obj.__dict__[self.name] = _array(obj.__dict__["_" + self.name], self.writeable)
+        value = obj.__dict__[self.name] = self.build(obj.__dict__["_" + self.name])
         return value
 
 
@@ -186,7 +190,7 @@ class _ArrayOnRead:
 class JointConfig:
     """Seven joint values in radians; q is built from the floats _q when read."""
 
-    q: "np.ndarray" = _ArrayOnRead(True)
+    q: "np.ndarray" = _OnRead(_array)
 
     def __post_init__(self):
         self._q = _vec(self.__dict__.pop("q"), 7, "joints")
@@ -229,7 +233,7 @@ class RobotParams:
     d_se: float
     d_ew: float
     a_wr: float
-    mdh: "np.ndarray" = _ArrayOnRead(False, None)
+    mdh: "np.ndarray" = _OnRead(functools.partial(_array, writeable=False), None)
 
     def __post_init__(self):
         for name in ("d_bs", "d_se", "d_ew", "a_wr"):
@@ -319,7 +323,10 @@ class RobotParams:
 
 
 def load_params(path):
-    """Load robot parameters from a JSON file."""
+    """Load robot parameters from the JSON file at path, a str or os.PathLike."""
+    # open() also takes an int, as a file descriptor that it would close
+    if not isinstance(path, (str, os.PathLike)):
+        raise InvalidParams("parameter file path must be a str or os.PathLike")
     try:
         with open(path, "r") as f:
             doc = json.load(f)
@@ -329,6 +336,10 @@ def load_params(path):
         raise InvalidParams(f"parameter file is not valid JSON: {e}") from None
     except RecursionError:
         raise InvalidParams("parameter file JSON is nested too deeply") from None
+    except ValueError as e:
+        # bytes that do not decode, a NUL in the path, or an integer with
+        # more digits than int() takes
+        raise InvalidParams(f"cannot read parameter file: {e}") from None
     return RobotParams.from_dict(doc)
 
 

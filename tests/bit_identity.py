@@ -11,6 +11,10 @@ It prints one sha256 for each of
   of 10^-k, special poses at q ~ U(-pi, 0), -pi/2 and -1e-7, each under the
   default and a loose ToleranceSet, and a subset of them at large
   angle_merge_tol;
+- the same solves read as `armik ik` and a caller that never reads
+  `branches` see them: `len(res)`, `res.joints_array()` bytes and
+  `armik.cli._fmt(res)`, taken before `branches` is first read (the solve
+  hash above reads `branches`, so it covers only the built objects);
 - the output bytes and exit codes of `armik ik` over 300 batches like
   perfbench's cli_batch (one pose at five arm angles, three rotation
   encodings, one malformed item);
@@ -31,6 +35,7 @@ import time
 import numpy as np
 
 import armik
+import armik.cli
 from armik import ArmikError, IkRequest, ToleranceSet, Transform, solve
 from armik.arm_angle import special_pose
 from armik.ik_core import DEFAULT_TOLERANCES
@@ -96,36 +101,43 @@ def _requests(params):
 
 
 def _solve_record(params, R, p, psi, tol):
+    """(record, unread record, branch count, duplicate count) of one solve."""
     try:
         res = solve(IkRequest(pose=Transform(R, p), psi=psi, params=params, tolerances=tol))
     except ArmikError as e:
-        return ("raised", e.tag), 0, 0
+        return ("raised", e.tag), ("raised", e.tag), 0, 0
     except Exception as e:  # a crash is an outcome too, and must hash equal
-        return ("crashed", type(e).__name__, str(e)), 0, 0
+        rec = ("crashed", type(e).__name__, str(e))
+        return rec, rec, 0, 0
+    # before anything reads res.branches
+    unread = (len(res), res.joints_array().tobytes(), armik.cli._fmt(res))
     branches = [(tuple(b.joints.q.tolist()), b.root_index, b.t6, b.r6, b.q8, b.q4_sign,
                  b.q2_sign, b.pose_error, b.arm_eq_residual, b.pose_eq_residual)
                 for b in res.branches]
     rejected = [(r.leaf, r.reason) for r in res.rejected]
     dups = sum(r.reason == "duplicate" for r in res.rejected)
-    return (branches, rejected), len(branches), dups
+    return (branches, rejected), unread, len(branches), dups
 
 
-def solve_hash(params):
+def solve_hashes(params):
+    """Digests of the solve corpus: built branches, and the unread path."""
     pools = _requests(params)
     jobs = [(req, tol) for pool in pools.values() for req in pool
             for tol in (DEFAULT_TOLERANCES, LOOSE)]
     subset = [req for pool in pools.values() for req in pool[:200]]
     jobs += [(req, ToleranceSet(angle_merge_tol=t)) for t in MERGE_TOLS for req in subset]
-    h = hashlib.sha256()
+    h, hu = hashlib.sha256(), hashlib.sha256()
     n_branch = n_dup = crashes = 0
     for (R, p, psi), tol in jobs:
-        rec, nb, nd = _solve_record(params, R, p, psi, tol)
+        rec, unread, nb, nd = _solve_record(params, R, p, psi, tol)
         h.update(repr(rec).encode())
+        hu.update(repr(unread).encode())
         n_branch += nb
         n_dup += nd
         crashes += rec[0] == "crashed"
-    return h.hexdigest(), (f"{len(jobs)} solves, {n_branch} branches, {n_dup} duplicate "
-                           f"leaves, {crashes} non-ArmikError exceptions")
+    what = (f"{len(jobs)} solves, {n_branch} branches, {n_dup} duplicate leaves, "
+            f"{crashes} non-ArmikError exceptions")
+    return (h.hexdigest(), what), (hu.hexdigest(), f"{len(jobs)} solves, read unbuilt")
 
 
 def _cli_batch(rng, params, b):
@@ -198,11 +210,13 @@ def quartic_hash():
 
 def main():
     params = armik.default_params()
-    for name, fn in (("solve", lambda: solve_hash(params)), ("armik_ik", lambda: cli_hash(params)),
-                     ("quartic", quartic_hash)):
+    for names, fn in ((("solve", "unread"), lambda: solve_hashes(params)),
+                      (("armik_ik",), lambda: [cli_hash(params)]),
+                      (("quartic",), lambda: [quartic_hash()])):
         t0 = time.perf_counter()
-        digest, what = fn()
-        print(f"{name} {digest}  ({what}; {time.perf_counter() - t0:.1f} s)")
+        results = fn()
+        for name, (digest, what) in zip(names, results):
+            print(f"{name} {digest}  ({what}; {time.perf_counter() - t0:.1f} s)")
         sys.stdout.flush()
 
 

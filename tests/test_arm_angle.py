@@ -206,13 +206,32 @@ POSE_CALL = Transform(np.eye(3), [0.3, 0.1, 0.5])
         lambda P: arm_angle(P, Q_CALL),
         lambda P: reduce_pose(P, POSE_CALL),
         lambda P: classify(Q_CALL, P),
+        lambda P: special_pose(P, 0.5, -0.7, 0.3),
     ],
-    ids=["forward_kinematics", "frame_points", "arm_angle", "reduce_pose", "classify"],
+    ids=["forward_kinematics", "frame_points", "arm_angle", "reduce_pose", "classify",
+         "special_pose"],
 )
 def test_public_functions_reject_foreign_params(call, bad):
     # these read params' float tables directly, which raised AttributeError
     with pytest.raises(InvalidInput, match="^params must be a RobotParams$"):
         call(bad)
+
+
+@pytest.mark.parametrize("arg", ["d_sc", "q", "al"])
+@pytest.mark.parametrize("bad", ["0.5", None, True, [0.5], math.inf, -math.inf, math.nan, 10**400],
+                         ids=["str", "none", "bool", "list", "inf", "-inf", "nan", "huge_int"])
+def test_special_pose_rejects_bad_numbers(params, arg, bad):
+    args = {"d_sc": 0.5, "q": -0.7, "al": 0.3, arg: bad}
+    with pytest.raises(InvalidInput, match=f"^{arg} must be a finite number$"):
+        special_pose(params, **args)
+
+
+def test_special_pose_takes_ints_and_numpy_numbers(params):
+    want = special_pose(params, 0.5, -1.0, 0.0)
+    for args in ((np.float64(0.5), -1, 0), (0.5, np.int64(-1), np.float32(0.0))):
+        got = special_pose(params, *args)
+        assert np.array_equal(got.rotation, want.rotation)
+        assert np.array_equal(got.translation, want.translation)
 
 
 # C on the shoulder (zero_sc) and the tool z-axis along SC (axis_parallel):

@@ -13,9 +13,10 @@ from numpy.testing import assert_allclose
 import armik.cli
 import armik.verify
 from armik import (
-    ArmikError, IkRequest, JointConfig, SolutionSet, Transform, arm_angle, default_params,
-    forward_kinematics, solve,
+    ArmikError, IkRequest, JointConfig, RejectedBranch, SolutionSet, Transform, arm_angle,
+    default_params, forward_kinematics, solve,
 )
+from armik.arm_angle import special_pose
 from armik import _kernels_impl as _K
 from armik.verify import fk_oracle
 from armik.cli import _parse_rotation, main
@@ -454,6 +455,35 @@ def test_custom_params_file(params, capsys, tmp_path):
     assert rc == 1
 
 
+_UNREADABLE = {
+    "utf16_bom": b"\xff\xfe[]",
+    "latin1": '{"pad": "\u00e9"}'.encode("latin-1"),
+    "huge_integer": b"[1" + b"0" * 5000 + b"]",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNREADABLE))
+def test_unreadable_params_file_is_a_coded_error(capsys, tmp_path, case):
+    pfile = tmp_path / "robot.json"
+    pfile.write_bytes(_UNREADABLE[case])
+    rc = main(["--params", str(pfile), "ik", "--json", "{}"])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err)["error"]["tag"] == "invalid_params"
+
+
+@pytest.mark.parametrize("case", sorted(_UNREADABLE) + ["nul_in_path"])
+def test_unreadable_input_file_is_a_coded_error(capsys, tmp_path, case):
+    src = tmp_path / "in.json"
+    if case == "nul_in_path":
+        path = str(src) + "\0"
+    else:
+        src.write_bytes(_UNREADABLE[case])
+        path = str(src)
+    rc = main(["ik", path])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err)["error"]["tag"] == "invalid_input"
+
+
 def test_calls_through_one_parser_leak_no_state(params, capsys, tmp_path, monkeypatch):
     fk_zero = ["fk", "--json", json.dumps({"joints": [0.0] * 7})]
     rc, want = _run(capsys, fk_zero)
@@ -766,6 +796,16 @@ def _hand_built_sets(params):
     q5 = [_edit(br[0], joints={4: zero}), _edit(br[1], joints={4: -zero})]
     q7 = [_edit(br[0], joints={6: -zero}), _edit(br[1], joints={6: zero}),
           _edit(br[2], joints={6: zero})]
+    # solves whose branches are unread: armik ik prints the kernel's rows
+    unread = solve(IkRequest(pose=forward_kinematics(params, np.array(Q0)),
+                             psi=arm_angle(params, np.array(Q0)), params=params))
+    reach = params.d_se + params.d_ew + params.a_wr
+    unread_none = solve(IkRequest(pose=special_pose(params, reach + 0.05, -1.3, 0.2), psi=0.4,
+                                  params=params))
+    assert "branches" not in vars(unread) and "branches" not in vars(unread_none)
+    # rejections equal to the kernel's shared records but not the same objects
+    foreign = [RejectedBranch(r.label, r.leaf, r.reason, r.category) for r in res.rejected]
+    foreign.append(RejectedBranch("root9/q4+/q2+", 36, "made_up", "other"))
     edited = _solve_q0(params)
     eb = edited.branches
     eb[1].t6 = 0.25
@@ -785,13 +825,17 @@ def _hand_built_sets(params):
         "one_branch": SolutionSet(br[2:3], res.rejected[:1]),
         "empty": SolutionSet([], []),
         "only_rejected": SolutionSet([], res.rejected),
+        "unread_solve": unread,
+        "unread_no_branch": unread_none,
+        "foreign_rejections": SolutionSet(br[:1], foreign),
     }
 
 
 @pytest.mark.parametrize("case", [
     "distinct_equal_floats", "signed_zero_arm_residual", "signed_zero_pose_residual",
     "signed_zero_q5", "signed_zero_q7", "edited_after_solve", "reversed", "interleaved",
-    "one_branch", "empty", "only_rejected",
+    "one_branch", "empty", "only_rejected", "unread_solve", "unread_no_branch",
+    "foreign_rejections",
 ])
 def test_hand_built_solution_set_bytes(params, case):
     # fragments are reused on the identity of the printed objects, never on
@@ -802,3 +846,39 @@ def test_hand_built_solution_set_bytes(params, case):
     assert json.loads(text)["count"] == len(res.branches)
     if case.startswith("signed_zero"):
         assert '-0,' in text or '-0]' in text or '-0}' in text
+
+
+def test_only_the_kernels_shared_rejections_are_cached(params):
+    res = _hand_built_sets(params)["foreign_rejections"]
+    armik.cli._fmt(res)
+    shared = [r for recs in _K.LEAF_REJ.values() for r in recs]
+    assert all(id(r) not in armik.cli._REJECTED_JSON for r in res.rejected)
+    assert set(armik.cli._REJECTED_JSON) <= set(map(id, shared))
+
+
+def _golden_solves(params):
+    with open(os.path.join(os.path.dirname(__file__), "data", "golden_solve.json")) as f:
+        cases = json.load(f)["cases"]
+    for case in cases:
+        try:
+            yield solve(IkRequest(pose=Transform(np.reshape(case["R"], (3, 3)), case["p"]),
+                                  psi=case["psi"], params=params))
+        except ArmikError:
+            pass
+
+
+def _seen_unbuilt(res):
+    return len(res), res.joints_array().tobytes(), armik.cli._fmt(res)
+
+
+def test_unread_and_built_solution_sets_read_the_same(params):
+    n = 0
+    for res in _golden_solves(params):
+        before = _seen_unbuilt(res)
+        assert "branches" not in vars(res)
+        branches = res.branches
+        assert "branches" in vars(res) and res.branches is branches
+        assert _seen_unbuilt(res) == before
+        assert before[2] == _reference_json(res)
+        n += bool(branches)
+    assert n >= 100

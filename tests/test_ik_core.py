@@ -13,10 +13,12 @@ from armik import (
     IkRequest,
     InvalidInput,
     InvalidParams,
+    JointConfig,
     REASON_CATEGORY,
     REASON_NAMES,
     RejectedBranch,
     RobotParams,
+    SolutionSet,
     ToleranceSet,
     Transform,
     ZeroSC,
@@ -689,3 +691,29 @@ def test_far_pose_gives_coded_rejections(params, scale):
         assert not res.branches
         assert sorted(r.leaf for r in res.rejected) == list(range(16))
         assert all(r.reason in REASON_NAMES.values() for r in res.rejected)
+
+
+def test_solve_builds_its_branches_when_first_read(params):
+    q = [0.4, -1.2, 0.5, 1.1, -0.3, 0.9, 0.2]
+    req = IkRequest(pose=forward_kinematics(params, q), psi=arm_angle(params, q), params=params)
+    res = solve(req)
+    n, joints = len(res), res.joints_array()
+    assert n > 0 and joints.shape == (n, 7)
+    assert "branches" not in vars(res)
+    branches = res.branches
+    assert type(branches) is list and len(branches) == n
+    assert res.branches is branches
+    assert np.array_equal(np.stack([b.joints.q for b in branches]), joints)
+    # the dataclass methods read the built branches (== of a JointConfig
+    # compares arrays, so equality is tested on a solve with no branch)
+    copy = dataclasses.replace(res, rejected=[])
+    assert copy.branches is branches and copy.rejected == [] and len(copy) == n
+    assert repr(solve(req)) == repr(res) == repr(SolutionSet(list(branches), res.rejected))
+    reach = params.d_se + params.d_ew + params.a_wr
+    far = IkRequest(pose=special_pose(params, reach + 0.05, -1.3, 0.2), psi=0.4, params=params)
+    assert solve(far) == solve(far) == SolutionSet([], solve(far).rejected)
+    # an edit made after the read is what len() and joints_array() see
+    branches[0].joints = JointConfig([0.0] * 7)
+    del branches[-1]
+    assert len(res) == n - 1
+    assert res.joints_array()[0].tolist() == [0.0] * 7

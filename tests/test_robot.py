@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -365,6 +366,38 @@ def test_load_params_roundtrip(tmp_path, params):
     (tmp_path / "short.json").write_text(json.dumps({"d_bs": 0.3}))
     with pytest.raises(InvalidParams):
         load_params(tmp_path / "short.json")
+
+
+@pytest.mark.parametrize("path", [None, [], b"p.json", 1.5], ids=["none", "list", "bytes", "float"])
+def test_load_params_rejects_a_non_path(path):
+    with pytest.raises(InvalidParams, match="str or os.PathLike"):
+        load_params(path)
+
+
+@pytest.mark.parametrize("fd", [0, 1, 2, True, False])
+def test_load_params_does_not_read_a_file_descriptor(fd):
+    # open() takes an int as a descriptor and closes it when done
+    with pytest.raises(InvalidParams, match="str or os.PathLike"):
+        load_params(fd)
+    for std in (0, 1, 2):
+        os.fstat(std)
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{}",
+    '{"d_bs": 0.3, "pad": "\u00e9"}'.encode("latin-1"),
+    b'{"d_bs": 1' + b"0" * 5000 + b"}",
+], ids=["utf16_bom", "latin1", "huge_integer"])
+def test_load_params_rejects_unreadable_content(tmp_path, content):
+    path = tmp_path / "p.json"
+    path.write_bytes(content)
+    with pytest.raises(InvalidParams, match="cannot read parameter file"):
+        load_params(path)
+
+
+def test_load_params_rejects_a_nul_in_the_path(tmp_path):
+    with pytest.raises(InvalidParams, match="cannot read parameter file"):
+        load_params(str(tmp_path / "p\0.json"))
 
 
 def test_default_params_loadable():
