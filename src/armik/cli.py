@@ -314,9 +314,8 @@ def _read_input(args):
         else:
             with open(args.input, "r") as f:
                 text = f.read()
-    except OSError as e:
-        raise InvalidInput(f"cannot read input: {e}") from None
-    except ValueError as e:  # bytes that do not decode, or a NUL in the path
+    # ValueError: bytes that do not decode, or a NUL in the path
+    except (OSError, ValueError) as e:
         raise InvalidInput(f"cannot read input: {e}") from None
     try:
         return json.loads(text)

@@ -99,7 +99,6 @@ def _verified_joints(qu):
 
 
 def _branches_of(rows):
-    # the IkBranch of each of the kernel's accepted rows
     return [
         IkBranch(_verified_joints(qu), slot, t6, r6, q8, s4, s2, perr, arm_res, pose_res)
         for qu, slot, t6, r6, q8, s4, s2, arm_res, pose_res, perr in rows
