@@ -79,9 +79,10 @@ def _vec(x, n, name):
 
 
 def _check_tolerance(name, v):
-    """InvalidInput unless v is a positive finite int or float (not a bool)."""
+    """InvalidInput unless v is a positive finite int or float (not a bool);
+    an int must not be too large for a float, which the kernels make of it."""
     number = isinstance(v, (int, float)) and not isinstance(v, bool)
-    if not (number and 0 < v < math.inf):
+    if not (number and 0 < v <= sys.float_info.max):
         raise InvalidInput(f"tolerance {name} must be a positive finite number")
 
 

@@ -100,6 +100,11 @@ def test_tolerance_set_validation():
     for bad in (True, math.inf):
         with pytest.raises(InvalidInput, match="pose_tol"):
             ToleranceSet(pose_tol=bad)
+    # an int that no float holds: the kernel raised OverflowError with it
+    for name in ("angle_merge_tol", "branch_residual_tol", "sin_domain_tol"):
+        with pytest.raises(InvalidInput, match=name):
+            ToleranceSet(**{name: 10**400})
+    assert ToleranceSet(pose_tol=1).pose_tol == 1
 
 
 @pytest.mark.parametrize("field", ["params", "tolerances"])
