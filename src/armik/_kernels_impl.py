@@ -613,13 +613,6 @@ def arm_dihedral(S, E, C, z7, tol_len, tol_parallel):
     return wrap_angle(psi)
 
 
-def arm_angle_core(links, q, tol_len, tol_parallel):
-    """Arm angle of a joint configuration via the FK frame points; raises as
-    arm_dihedral does."""
-    R, C, S, E, W = fk_chain(links, q)
-    return arm_dihedral(S, E, C, (R[2], R[5], R[8]), tol_len, tol_parallel)
-
-
 def quartic_setup_core(d_sc, q, psi, d_se, d_ew, a_wr):
     """k, y, tm1..tm3 and the quartic coefficients for given (d_sc, q, psi)."""
     k = 0.5 * (a_wr * a_wr + d_se * d_se - d_sc * d_sc - d_ew * d_ew)
@@ -648,70 +641,45 @@ def quartic_setup_core(d_sc, q, psi, d_se, d_ew, a_wr):
     return k, y, tm1, tm2, tm3, g4, g3, g2, g1, g0
 
 
-def ik_solve_core(params, tol, R07, p07, d_sc, q, al, psi):
-    """Enumerate all 16 candidate branches for a reduced pose.
-
-    R07/p07 is the pose every branch is verified against (and the rotation fed
-    to the q1..q3 decomposition): the original pose of the request, of which
-    (d_sc, q, al) is the reduced form. params is a RobotParams, tol a
-    ToleranceSet, R07 a row-major 9-tuple and p07 a 3-tuple.
-    Every one of the 16 leaves is either accepted or rejected with a reason;
-    nothing is silently dropped.
-
-    Returns (accepted, rejected): accepted holds one tuple (joints, slot, t6,
-    r6, q8, q4 sign, q2 sign, arm_eq_res, pose_eq_res, pose error) per
-    branch, with the joints a 7-tuple and the signs +-1; rejected holds the
-    LEAF_REJ record of each rejected leaf.
+def slots_core(params, tol, R07, d_sc, q, al, psi):
+    """Root slots of the reduced pose's quartic (AllCoefficientsZero if it
+    vanishes), one entry per slot: the LEAF_REJ reason that rejects its four
+    leaves, or the tuple they share (t6, r6, q8, arm_eq_res, pose_eq_res,
+    q4a, a1, a2, R05, u6, u7): q4a the acos of the law-of-cosines argument,
+    a1 and a2 q5's atan2 arguments at the + elbow sign, u6 and u7 user joints.
     """
-    links = params._links
-    delta = params._delta
     d_se = params.d_se
     d_ew = params.d_ew
     a_wr = params.a_wr
-    pose_tol = tol.pose_tol
-    angle_merge_tol = tol.angle_merge_tol
-    wrap_band = TWO_PI - angle_merge_tol
     branch_residual_tol = tol.branch_residual_tol
     sin_domain_tol = tol.sin_domain_tol
-    psi_tol = tol.psi_tol
-    tol_len = tol.tol_len
-    tol_parallel = tol.tol_parallel
-    acc = []
-
     k, y, tm1, tm2, tm3, g4, g3, g2, g1, g0 = quartic_setup_core(
         d_sc, q, psi, d_se, d_ew, a_wr)
-    try:
-        _, roots, mults = solve_quartic_core(
-            g4, g3, g2, g1, g0, tol.degree_tol, tol.root_merge_tol, tol.complex_accept)
-    except AllCoefficientsZero:
-        return acc, list(LEAF_REJ["quartic_identically_zero"])
+    _, roots, mults = solve_quartic_core(
+        g4, g3, g2, g1, g0, tol.degree_tol, tol.root_merge_tol, tol.complex_accept)
 
     # expand multiplicities (summing to at most 4) into the root slots; a
     # slot born from a double root is retried with the opposite elbow-plane
     # sign (branch fold)
     slots = [(t6, dup) for t6, m in zip(roots, mults) for dup in range(m)]
-    rej = list(LEAF_REJ["complex_root"][len(slots) * 4:])
+    out = []
     if not slots:
-        return acc, rej
+        return out
 
     sq = math.sin(q)
     cq = math.cos(q)
     cp = math.cos(psi)
     sp = math.sin(psi)
-
-    px, py, pz = p07
-    L3 = links[3]
-    L4 = links[4]
-    L5 = links[5]
-    L6 = links[6]
+    delta = params._delta
+    L5 = params._links[5]
+    L6 = params._links[6]
     prev_sign = 1.0
 
-    for slot, (t6, dup) in enumerate(slots):
-        lo = 4 * slot
+    for t6, dup in slots:
         # cos q6; `not <=` also rejects a NaN root, whose comparisons are False
         c6 = (t6 - a_wr) / d_ew
         if not abs(c6) <= 1.0 + sin_domain_tol:
-            rej.extend(LEAF_REJ["cos_domain"][lo:lo + 4])
+            out.append("cos_domain")
             continue
         if c6 > 1.0:
             c6 = 1.0
@@ -739,7 +707,8 @@ def ik_solve_core(params, tol, R07, p07, d_sc, q, al, psi):
         if 1.0e-300 > sc6:
             sc6 = 1.0e-300
         if dup:
-            # duplicate slot: the merged second branch has the opposite sign
+            # every extra slot of a merged root takes the sign opposite to
+            # the root's first slot, not to the slot before it
             sgn6 = -prev_sign
         else:
             sgn6 = 1.0 if abs(res_p) <= abs(res_m) else -1.0
@@ -747,10 +716,10 @@ def ik_solve_core(params, tol, R07, p07, d_sc, q, al, psi):
         res6 = res_p if sgn6 > 0.0 else res_m
         if dup:
             if abs(res6) > branch_residual_tol * sc6 or r6_mag == 0.0:
-                rej.extend(LEAF_REJ["duplicate"][lo:lo + 4])
+                out.append("duplicate")
                 continue
         elif abs(res6) > branch_residual_tol * sc6:
-            rej.extend(LEAF_REJ["unsquared_residual"][lo:lo + 4])
+            out.append("unsquared_residual")
             continue
         r6 = sgn6 * r6_mag
         q6 = math.atan2(r6, t6 - a_wr)
@@ -759,13 +728,13 @@ def ik_solve_core(params, tol, R07, p07, d_sc, q, al, psi):
         # q rounds to 0 for tilts off SC of about 1e-8 rad, which pass the
         # parallel test of reduce_pose_core
         den = d_sc * sq * t6
-        if abs(t6) < tol_len or den == 0.0:
-            rej.extend(LEAF_REJ["q8_degenerate"][lo:lo + 4])
+        if abs(t6) < tol.tol_len or den == 0.0:
+            out.append("q8_degenerate")
             continue
         xv = a_wr * t6 - k - d_sc * r6 * cq
         cq8 = -xv / den
         if not abs(cq8) <= 1.0 + sin_domain_tol:
-            rej.extend(LEAF_REJ["cos_domain"][lo:lo + 4])
+            out.append("cos_domain")
             continue
         if cq8 > 1.0:
             cq8 = 1.0
@@ -778,7 +747,7 @@ def ik_solve_core(params, tol, R07, p07, d_sc, q, al, psi):
         arm_m = abs(wrap_angle(math.atan2(-ey, ex) + math.pi - psi))
         s8 = 1.0 if arm_p <= arm_m else -1.0
         if min(arm_p, arm_m) > ARM_EQ_TOL:
-            rej.extend(LEAF_REJ["arm_equation_mismatch"][lo:lo + 4])
+            out.append("arm_equation_mismatch")
             continue
         q8 = math.atan2(s8 * sq8_mag, cq8)
 
@@ -818,31 +787,72 @@ def ik_solve_core(params, tol, R07, p07, d_sc, q, al, psi):
         n2 = s6x * s6x + s6y * s6y + s6z * s6z
         carg = (n2 - d_ew * d_ew - d_se * d_se) / (2.0 * d_se * d_ew)
         if not abs(carg) <= 1.0 + sin_domain_tol:
-            rej.extend(LEAF_REJ["unreachable"][lo:lo + 4])
+            out.append("unreachable")
             continue
         if carg > 1.0:
             carg = 1.0
         elif carg < -1.0:
             carg = -1.0
-        q4a = math.acos(carg)
 
         # neither the elbow nor the shoulder check reads the elbow sign
         a1 = -s6x * s6 - s6y * c6
         a2 = s6z
         cons = s6y * s6 - s6x * c6 - (d_ew + d_se * carg)
         if abs(a1) < ELBOW_TOL and abs(a2) < ELBOW_TOL:
-            rej.extend(LEAF_REJ["elbow_degenerate"][lo:lo + 4])
+            out.append("elbow_degenerate")
             continue
         if abs(cons) > SHOULDER_CONSISTENCY_TOL:
-            rej.extend(LEAF_REJ["shoulder_consistency"][lo:lo + 4])
+            out.append("shoulder_consistency")
             continue
         # R03 = R07 R67' R56' R45' R34' (primes are transposes); the first
         # two factors do not depend on the elbow sign
         R05 = rot_mul_nt(rot_mul_nt(R07, link_rot(L6, BASE_OFFSETS[6] + q7)),
                          link_rot(L5, BASE_OFFSETS[5] + q6))
         # user coordinates of the joints shared by the slot's leaves
-        u6 = wrap_angle(q6 - delta[5])
-        u7 = wrap_angle(q7 - delta[6])
+        out.append((t6, r6, q8, arm_eq_res, pose_eq_res, math.acos(carg), a1, a2, R05,
+                    wrap_angle(q6 - delta[5]), wrap_angle(q7 - delta[6])))
+    return out
+
+
+def ik_solve_core(params, tol, R07, p07, d_sc, q, al, psi):
+    """Enumerate all 16 candidate branches for a reduced pose.
+
+    R07/p07 is the pose every branch is verified against (and the rotation fed
+    to the q1..q3 decomposition): the original pose of the request, of which
+    (d_sc, q, al) is the reduced form. params is a RobotParams, tol a
+    ToleranceSet, R07 a row-major 9-tuple and p07 a 3-tuple.
+    Every one of the 16 leaves is either accepted or rejected with a reason;
+    nothing is silently dropped. One slots_core call gives the root slots.
+
+    Returns (accepted, rejected): accepted holds one tuple (joints, slot, t6,
+    r6, q8, q4 sign, q2 sign, arm_eq_res, pose_eq_res, pose error) per
+    branch, with the joints a 7-tuple and the signs +-1; rejected holds the
+    LEAF_REJ record of each rejected leaf.
+    """
+    links = params._links
+    delta = params._delta
+    pose_tol = tol.pose_tol
+    angle_merge_tol = tol.angle_merge_tol
+    wrap_band = TWO_PI - angle_merge_tol
+    psi_tol = tol.psi_tol
+    tol_len = tol.tol_len
+    tol_parallel = tol.tol_parallel
+    acc = []
+    try:
+        slots = slots_core(params, tol, R07, d_sc, q, al, psi)
+    except AllCoefficientsZero:
+        return acc, list(LEAF_REJ["quartic_identically_zero"])
+    rej = list(LEAF_REJ["complex_root"][len(slots) * 4:])
+    px, py, pz = p07
+    L3 = links[3]
+    L4 = links[4]
+
+    for slot, rec in enumerate(slots):
+        lo = 4 * slot
+        if isinstance(rec, str):
+            rej.extend(LEAF_REJ[rec][lo:lo + 4])
+            continue
+        t6, r6, q8, arm_eq_res, pose_eq_res, q4a, a1, a2, R05, u6, u7 = rec
         for s4i in (1, -1):
             base = lo + (0 if s4i > 0 else 2)
             q4 = s4i * q4a

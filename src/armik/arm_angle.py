@@ -15,12 +15,9 @@ from dataclasses import dataclass
 import math
 
 from .errors import InvalidInput
-from .robot import RobotParams, Transform, _check_params, _check_tolerance, _joint_floats, _vec
+from .robot import RobotParams, Transform, _check_params, _check_tolerance, _joint_floats
 from . import _kernels_impl as _K
 from ._kernels_impl import TOL_LEN, TOL_PARALLEL
-
-# arm_angle_points rescales points beyond this: their squares may overflow
-_SQUARES_SAFE = 1e150
 
 
 def arm_angle(params, joints):
@@ -31,26 +28,8 @@ def arm_angle(params, joints):
     the SC line.
     """
     _check_params(params)
-    return _K.arm_angle_core(params._links, _joint_floats(joints), TOL_LEN, TOL_PARALLEL)
-
-
-def arm_angle_points(shoulder, elbow, axis7_center, tool_z):
-    """Arm angle from the raw geometric inputs.
-
-    Raises InvalidInput unless each input is 3 finite numbers, and ZeroSC,
-    AxisParallel or DegenerateArm as arm_angle does. Huge points are scaled
-    by a power of two first, and TOL_LEN applies to the scaled points.
-    """
-    S = _vec(shoulder, 3, "shoulder")
-    E = _vec(elbow, 3, "elbow")
-    C = _vec(axis7_center, 3, "axis7_center")
-    z = _vec(tool_z, 3, "tool_z")
-    nz = math.hypot(*z)
-    if nz < TOL_LEN:
-        raise InvalidInput("tool z direction has zero length")
-    if (m := max(map(abs, S + E + C))) > _SQUARES_SAFE:
-        S, E, C = ([math.ldexp(v, -math.frexp(m)[1]) for v in P] for P in (S, E, C))
-    return _K.arm_dihedral(S, E, C, [v / nz for v in z], TOL_LEN, TOL_PARALLEL)
+    R, C, S, E, W = _K.fk_chain(params._links, _joint_floats(joints))
+    return _K.arm_dihedral(S, E, C, (R[2], R[5], R[8]), TOL_LEN, TOL_PARALLEL)
 
 
 @dataclass

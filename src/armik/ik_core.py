@@ -14,8 +14,11 @@ recorded with a rejection reason, never silently dropped.
 The branch math lives in one place, the kernel ik_solve_core, which works
 in the solver's internal joint coordinates (zero offsets) and returns
 joints in the user coordinates declared by the parameter table, with its
-rejected leaves as shared RejectedBranch records. solve() validates the
-request, reduces the pose, runs the kernel and assembles its branches.
+rejected leaves as shared RejectedBranch records. Its stage slots_core
+gives per root slot the reason that rejects its four leaves, or the record
+they share (t6, r6, q8, residuals, q4a, q5's atan2 arguments, R05, u6, u7).
+solve() validates the request, reduces the pose, runs the kernel and
+assembles its branches.
 """
 
 from dataclasses import dataclass

@@ -199,6 +199,12 @@ class JointConfig:
     def wrapped(self):
         return JointConfig([_K.wrap_angle(v) for v in _joint_floats(self)])
 
+    def __eq__(self, other):
+        # as float tuples: the generated __eq__ compares arrays, which raises
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return tuple(_joint_floats(self)) == tuple(_joint_floats(other))
+
     def __iter__(self):
         return iter(self.q)
 

@@ -18,7 +18,11 @@ It prints one sha256 for each of
 - the output bytes and exit codes of `armik ik` over 300 batches like
   perfbench's cli_batch (one pose at five arm angles, three rotation
   encodings, one malformed item);
-- `solve_quartic_core` over 100,000 fuzzed coefficient sets.
+- `solve_quartic_core` over 100,000 fuzzed coefficient sets;
+- `multiple`: solves of the first 100 requests of each solve pool with
+  `solve_quartic_core` patched to give one of its real roots alone at
+  multiplicity 2, 3 or 4 (conftest.merged_root), for each real root in
+  turn, which reaches the extra slots of a merged root.
 
 pytest does not collect this file; the inputs come from the tests' own
 generators, so a change to them changes every hash.
@@ -41,7 +45,7 @@ from armik.arm_angle import special_pose
 from armik.ik_core import DEFAULT_TOLERANCES
 from armik import _kernels_impl as K
 from armik.verify import fk_oracle
-from conftest import family_sample
+from conftest import family_sample, merged_root
 from test_golden import _roundtrip_request, _workcell_request
 from test_golden_cli import _far_config, _pose_item, run_cli
 
@@ -119,9 +123,8 @@ def _solve_record(params, R, p, psi, tol):
     return (branches, rejected), unread, len(branches), dups
 
 
-def solve_hashes(params):
+def solve_hashes(params, pools):
     """Digests of the solve corpus: built branches, and the unread path."""
-    pools = _requests(params)
     jobs = [(req, tol) for pool in pools.values() for req in pool
             for tol in (DEFAULT_TOLERANCES, LOOSE)]
     subset = [req for pool in pools.values() for req in pool[:200]]
@@ -138,6 +141,25 @@ def solve_hashes(params):
     what = (f"{len(jobs)} solves, {n_branch} branches, {n_dup} duplicate leaves, "
             f"{crashes} non-ArmikError exceptions")
     return (h.hexdigest(), what), (hu.hexdigest(), f"{len(jobs)} solves, read unbuilt")
+
+
+def multiple_hash(params, pools):
+    """Digest of the corpus slice solved with each real root merged alone."""
+    h = hashlib.sha256()
+    n = 0
+    solve_quartic = K.solve_quartic_core
+    try:
+        for pool in pools.values():
+            for R, p, psi in pool[:100]:
+                for mult in (2, 3, 4):
+                    for index in range(4):
+                        K.solve_quartic_core = merged_root(solve_quartic, index, mult)
+                        h.update(repr(_solve_record(params, R, p, psi, DEFAULT_TOLERANCES)[0])
+                                 .encode())
+                        n += 1
+    finally:
+        K.solve_quartic_core = solve_quartic
+    return h.hexdigest(), f"{n} solves, one root at multiplicity 2, 3 or 4"
 
 
 def _cli_batch(rng, params, b):
@@ -210,9 +232,11 @@ def quartic_hash():
 
 def main():
     params = armik.default_params()
-    for names, fn in ((("solve", "unread"), lambda: solve_hashes(params)),
+    pools = _requests(params)
+    for names, fn in ((("solve", "unread"), lambda: solve_hashes(params, pools)),
                       (("armik_ik",), lambda: [cli_hash(params)]),
-                      (("quartic",), lambda: [quartic_hash()])):
+                      (("quartic",), lambda: [quartic_hash()]),
+                      (("multiple",), lambda: [multiple_hash(params, pools)])):
         t0 = time.perf_counter()
         results = fn()
         for name, (digest, what) in zip(names, results):

@@ -42,6 +42,18 @@ def quartic_roots(coeffs):
     return np.array(roots), np.array(mult)
 
 
+def merged_root(solve_quartic, index, mult):
+    """solve_quartic (solve_quartic_core's signature) with its real root
+    number index, where there is one, returned alone at multiplicity mult:
+    the root slots of a merged root, on any pose."""
+    def merged(*args):
+        count, roots, mults = solve_quartic(*args)
+        if index >= count:
+            return count, roots, mults
+        return 1, [roots[index]], [mult]
+    return merged
+
+
 def sample_far_joints(rng, params, margin=5e-2):
     """One random configuration at least margin from every singular family."""
     while True:

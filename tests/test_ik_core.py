@@ -32,7 +32,7 @@ from armik.ik_core import leaf_label
 from armik.verify import fk_oracle
 from armik.ik_core import DEFAULT_TOLERANCES
 from armik import _kernels_impl as K
-from conftest import family_sample, sample_far_joints
+from conftest import family_sample, merged_root, sample_far_joints
 
 
 def _wrap(a):
@@ -709,8 +709,7 @@ def test_solve_builds_its_branches_when_first_read(params):
     assert type(branches) is list and len(branches) == n
     assert res.branches is branches
     assert np.array_equal(np.stack([b.joints.q for b in branches]), joints)
-    # the dataclass methods read the built branches (== of a JointConfig
-    # compares arrays, so equality is tested on a solve with no branch)
+    # the dataclass methods read the built branches
     copy = dataclasses.replace(res, rejected=[])
     assert copy.branches is branches and copy.rejected == [] and len(copy) == n
     assert repr(solve(req)) == repr(res) == repr(SolutionSet(list(branches), res.rejected))
@@ -722,3 +721,41 @@ def test_solve_builds_its_branches_when_first_read(params):
     del branches[-1]
     assert len(res) == n - 1
     assert res.joints_array()[0].tolist() == [0.0] * 7
+
+
+def test_separate_solves_with_branches_compare_equal(params):
+    q = [0.4, -1.2, 0.5, 1.1, -0.3, 0.9, 0.2]
+    req = IkRequest(pose=forward_kinematics(params, q), psi=arm_angle(params, q), params=params)
+    first, second = solve(req), solve(req)
+    assert len(first) > 1 and first is not second
+    assert first == second and not first != second
+    assert first.branches[0] == second.branches[0] != second.branches[1]
+    other = solve(dataclasses.replace(req, psi=req.psi + 0.1))
+    assert len(other) > 0 and first != other
+
+
+@pytest.mark.parametrize("mult", [2, 3, 4])
+def test_extra_slots_of_a_merged_root_take_the_first_slots_opposite_sign(params, monkeypatch,
+                                                                       mult):
+    # one real root at multiplicity mult: slot 0 picks its q6 sign by the
+    # unsquared residual, and every extra slot takes the opposite one. On
+    # roots 0 and 3, slot 0 fails the arm equation and the opposite sign
+    # fails the residual, so the extra slots are all duplicates; a sign
+    # passed on from slot to slot would give slot 2 slot 0's sign and reason
+    q = [0.4, -1.2, 0.5, 1.1, -0.3, 0.9, 0.2]
+    req = IkRequest(pose=forward_kinematics(params, q), psi=arm_angle(params, q), params=params)
+    plain = solve(req)
+    solve_quartic = K.solve_quartic_core
+    for index, first in ((0, "arm_equation_mismatch"), (1, None), (2, None),
+                         (3, "arm_equation_mismatch")):
+        monkeypatch.setattr(K, "solve_quartic_core", merged_root(solve_quartic, index, mult))
+        res = solve(req)
+        monkeypatch.undo()
+        leaves = [None] * 16
+        for r in res.rejected:
+            leaves[r.leaf] = r.reason
+        tail = ["duplicate"] * 4 * (mult - 1) + ["complex_root"] * 4 * (4 - mult)
+        assert leaves == [first] * 4 + tail, (index, leaves)
+        # an accepted slot 0 is the plain solve's slot of that root, leaf for leaf
+        want = [b.joints for b in plain.branches if b.root_index == index]
+        assert [b.joints for b in res.branches] == (want if first is None else [])

@@ -263,6 +263,17 @@ def test_joint_config_validation():
     assert len(jc) == 7
 
 
+def test_joint_config_equality_compares_the_joints():
+    zero = JointConfig([0.0] * 7)
+    assert zero == JointConfig([0] * 7) and not zero != JointConfig([-0.0] * 7)
+    assert zero != JointConfig([0.0] * 6 + [1e-300])
+    assert zero != [0.0] * 7
+    # a built q array, edited in place, is what == reads
+    other = JointConfig([0.0] * 7)
+    other.q[3] = 0.5
+    assert zero != other and other == JointConfig([0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0])
+
+
 def test_params_validation():
     with pytest.raises(InvalidParams):
         RobotParams(d_bs=-0.1, d_se=0.4, d_ew=0.4, a_wr=0.09)
