@@ -49,7 +49,6 @@ __all__ = [
     "AllCoefficientsZero",
     "ArmikError",
     "AxisParallel",
-    "BACKEND",
     "DegenerateArm",
     "FramePoints",
     "IkBranch",

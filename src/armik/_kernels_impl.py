@@ -38,6 +38,7 @@ WRIST_TOL = 1e-10  # 1 - |r33| below this: q1 and q3 do not separate (unitless)
 BIQUAD_Q_TOL = 1e-13  # quartic is biquadratic: odd term |q| over 1 + |p| + |r| (unitless)
 BIQUAD_S2_TOL = 1e-14  # the same: resolvent root 2m over (1 + |p| + sqrt|r|)^2 (unitless)
 PARAMS_STRUCTURE_TOL = 1e-9  # parameter table off the supported chain (rad, m)
+SQUARE_OVERFLOW_LEN = 1e150  # link lengths summing past this: squared distances overflow (m)
 ROT_TOL = 1e-9  # rotation input off orthonormal, or its determinant off +1 (unitless)
 QUAT_NORM_TOL = 1e-9  # quaternion input norm off 1 (unitless)
 HIT_TOL = 1e-6  # classify: distance of a singular family that counts as a hit (rad)
@@ -515,8 +516,10 @@ def solve_quartic_core(g4, g3, g2, g1, g0, degree_tol, root_merge_tol, complex_a
 
 
 def reduce_pose_core(R, p, d_bs, tol_len, tol_parallel):
-    """Reduce an end pose (R a row-major 9-list) to (d_sc, q, al, A), A the
-    rows of the aligning rotation as a row-major 9-tuple."""
+    """Reduce an end pose (R a row-major 9-list) to (d_sc, q, al): the
+    shoulder to axis-7-center distance, the polar angle of the tool z-axis
+    from SC (in [-pi, 0]) and the tool rotation about its z-axis, from
+    x72 = yv x z7 with yv along z7 x SC."""
     scx = p[0]
     scy = p[1]
     scz = p[2] - d_bs
@@ -554,10 +557,6 @@ def reduce_pose_core(R, p, d_bs, tol_len, tol_parallel):
     elif dd < -1.0:
         dd = -1.0
     q = -math.acos(dd)
-    # A rows: yv x zv, yv, zv
-    A = (yvy * zvz - yvz * zvy, yvz * zvx - yvx * zvz, yvx * zvy - yvy * zvx,
-         yvx, yvy, yvz,
-         zvx, zvy, zvz)
     # al: signed angle from x72 = yv x z7 to x7 about z7
     x72x = yvy * z7z - yvz * z7y
     x72y = yvz * z7x - yvx * z7z
@@ -570,7 +569,7 @@ def reduce_pose_core(R, p, d_bs, tol_len, tol_parallel):
     cxz = x72x * x7y - x72y * x7x
     al = math.atan2(cxx * z7x + cxy * z7y + cxz * z7z,
                     x72x * x7x + x72y * x7y + x72z * x7z)
-    return d_sc, q, al, A
+    return d_sc, q, al
 
 
 def arm_dihedral(S, E, C, z7, tol_len, tol_parallel):

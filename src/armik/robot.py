@@ -23,7 +23,8 @@ import sys
 
 from .errors import InvalidInput, InvalidParams, InvalidRotation
 from . import _kernels_impl as _K
-from ._kernels_impl import BASE_OFFSETS, PARAMS_STRUCTURE_TOL, ROT_TOL, link_table
+from ._kernels_impl import (BASE_OFFSETS, PARAMS_STRUCTURE_TOL, ROT_TOL, SQUARE_OVERFLOW_LEN,
+                            link_table)
 
 # canonical chain structure: alpha and a columns are fixed by the geometry,
 # d column carries the three link lengths, row 7 carries the wrist offset
@@ -257,6 +258,8 @@ class RobotParams:
             raise InvalidParams("wrist offset a_wr must be non-negative")
         if self.a_wr >= self.d_ew:
             raise InvalidParams("wrist offset a_wr must be smaller than d_ew")
+        if self.d_bs + self.d_se + self.d_ew + self.a_wr > SQUARE_OVERFLOW_LEN:
+            raise InvalidParams(f"link lengths must sum to at most {SQUARE_OVERFLOW_LEN:g} m")
         table = self.__dict__.pop("mdh")
         try:
             shape, flat = _read_floats(self._canonical_mdh() if table is None else table)

@@ -1,10 +1,14 @@
 """Hashes of the solver's output over a fixed corpus, for bit-identity checks.
 
-Run it on two trees and compare the lines it prints:
+Run it as
 
-    PYTHONPATH=src python3 tests/bit_identity.py
+    PYTHONPATH=src python3 tests/bit_identity.py [--record | --check]
 
-It prints one sha256 for each of
+With no option it prints the hashes. --record writes them to
+tests/data/bit_identity.json; --check recomputes them, compares them with
+that file and exits 1, naming each hash that differs.
+
+It computes one sha256 for each of
 - `solve` output (every branch's fields by repr, every rejection's leaf and
   reason, or the ArmikError tag) over round-trip and workcell requests at
   psi offsets 0, +0.1, -0.2 and +pi, the four kinematic families at offsets
@@ -28,6 +32,7 @@ pytest does not collect this file; the inputs come from the tests' own
 generators, so a change to them changes every hash.
 """
 
+import argparse
 import hashlib
 import json
 import math
@@ -41,11 +46,10 @@ import numpy as np
 import armik
 import armik.cli
 from armik import ArmikError, IkRequest, ToleranceSet, Transform, solve
-from armik.arm_angle import special_pose
 from armik.ik_core import DEFAULT_TOLERANCES
 from armik import _kernels_impl as K
 from armik.verify import fk_oracle
-from conftest import family_sample, merged_root
+from conftest import family_sample, merged_root, special_pose
 from test_golden import _roundtrip_request, _workcell_request
 from test_golden_cli import _far_config, _pose_item, run_cli
 
@@ -230,9 +234,19 @@ def quartic_hash():
     return h.hexdigest(), f"{n} coefficient sets, {raised} raised"
 
 
-def main():
+RECORD = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "bit_identity.json")
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description="Hashes of the solver's output over a fixed corpus.")
+    mode = ap.add_mutually_exclusive_group()
+    mode.add_argument("--record", action="store_true", help=f"write the hashes to {RECORD}")
+    mode.add_argument("--check", action="store_true",
+                      help="compare the hashes with the recorded ones; exit 1 on a difference")
+    args = ap.parse_args(argv)
     params = armik.default_params()
     pools = _requests(params)
+    hashes = {}
     for names, fn in ((("solve", "unread"), lambda: solve_hashes(params, pools)),
                       (("armik_ik",), lambda: [cli_hash(params)]),
                       (("quartic",), lambda: [quartic_hash()]),
@@ -240,9 +254,25 @@ def main():
         t0 = time.perf_counter()
         results = fn()
         for name, (digest, what) in zip(names, results):
+            hashes[name] = digest
             print(f"{name} {digest}  ({what}; {time.perf_counter() - t0:.1f} s)")
         sys.stdout.flush()
+    if args.record:
+        with open(RECORD, "w") as f:
+            json.dump(hashes, f, indent=2)
+            f.write("\n")
+        print(f"recorded in {RECORD}")
+    elif args.check:
+        with open(RECORD) as f:
+            want = json.load(f)
+        differ = [n for n in sorted(set(want) | set(hashes)) if want.get(n) != hashes.get(n)]
+        for name in differ:
+            print(f"DIFFERS: {name} (recorded {want.get(name)}, now {hashes.get(name)})")
+        if differ:
+            return 1
+        print(f"all {len(hashes)} hashes match {RECORD}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from armik import classify, default_params
+from armik import Transform, classify, default_params
 from armik import _kernels_impl as K
 from armik._kernels_impl import COMPLEX_PAIR_TOL, DEGREE_TOL, ROOT_MERGE_TOL
 
@@ -52,6 +52,16 @@ def merged_root(solve_quartic, index, mult):
             return count, roots, mults
         return 1, [roots[index]], [mult]
     return merged
+
+
+def special_pose(params, d_sc, q, al):
+    """Tool pose whose standard form is (d_sc, q, al): C on the base z-axis
+    at height d_bs + d_sc and tool rotation Ry(q) Rz(al), so SC is +z."""
+    cq, sq = math.cos(q), math.sin(q)
+    ca, sa = math.cos(al), math.sin(al)
+    Ry = np.array([[cq, 0.0, sq], [0.0, 1.0, 0.0], [-sq, 0.0, cq]])
+    Rz = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
+    return Transform(Ry @ Rz, np.array([0.0, 0.0, params.d_bs + d_sc]))
 
 
 def sample_far_joints(rng, params, margin=5e-2):

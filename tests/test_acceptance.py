@@ -397,7 +397,7 @@ def _latency_requests(params, n, seed):
 
 def _kernel_solve(params, R, p, psi, tol):
     try:
-        d_sc, q, al, _ = K.reduce_pose_core(R, p, params.d_bs, tol.tol_len, tol.tol_parallel)
+        d_sc, q, al = K.reduce_pose_core(R, p, params.d_bs, tol.tol_len, tol.tol_parallel)
     except ArmikError:
         return None
     return K.ik_solve_core(params, tol, R, p, d_sc, q, al, psi)

@@ -4,8 +4,8 @@ from pathlib import Path
 
 import armik
 import armik.cli
-from armik.arm_angle import special_pose
 from armik._kernels_impl import COMPLEX_PAIR_TOL, DEGREE_TOL, ROOT_MERGE_TOL
+from conftest import special_pose
 
 
 def test_all_names_resolve_once():
@@ -21,12 +21,12 @@ def test_star_import():
 
 
 def test_public_names_are_documented():
-    # armik exports what the README names in code; BACKEND stays for perfbench
+    # armik exports what the README names in code
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     parts = readme.split("```")
     code = parts[1::2] + [span for prose in parts[::2] for span in re.findall(r"`([^`]+)`", prose)]
     named = set(re.findall(r"[A-Za-z_]\w*", " ".join(code)))
-    assert sorted(set(armik.__all__) - named - {"BACKEND"}) == []
+    assert sorted(set(armik.__all__) - named) == []
 
 
 def test_one_kernel_module():

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from armik import (
@@ -11,6 +12,7 @@ from armik import (
     AxisParallel,
     DegenerateArm,
     InvalidInput,
+    InvalidParams,
     RobotParams,
     ZeroSC,
     arm_angle,
@@ -23,23 +25,29 @@ from armik import (
     Transform,
 )
 from armik import default_params
-from armik.arm_angle import special_pose
 from armik import _kernels_impl as K
-from conftest import quartic_roots, sample_far_joints
+from conftest import quartic_roots, sample_far_joints, special_pose
 
 
 def _wrap(a):
     return math.atan2(math.sin(a), math.cos(a))
 
 
-def _align(rp):
-    # the alignment rotation of a ReducedPose as a 3x3 array
-    return np.array(rp.align_rows).reshape(3, 3)
+def _align(params, pose):
+    # the rotation taking the pose to its special pose, from the pose itself:
+    # rows yv x zv, yv, zv with zv = SC/|SC| and yv = z7 x zv normalised
+    sc = pose.translation - np.array([0.0, 0.0, params.d_bs])
+    sc = sc / np.abs(sc).max()  # |SC|^2 overflows at far offsets
+    zv = sc / np.linalg.norm(sc)
+    yv = np.cross(pose.rotation[:, 2], zv)
+    yv /= np.linalg.norm(yv)
+    return np.array([np.cross(yv, zv), yv, zv])
 
 
-def _reconstruct(params, rp):
-    # invert reduce_pose: carry the special pose back through the alignment
-    A = _align(rp)
+def _reconstruct(params, pose, rp):
+    # invert reduce_pose: carry the special pose of rp back through the
+    # pose's own alignment, which gives the pose iff d_sc, q and al are right
+    A = _align(params, pose)
     sp = special_pose(params, rp.d_sc, rp.q, rp.al)
     base = np.array([0.0, 0.0, params.d_bs])
     return Transform(A.T @ sp.rotation, A.T @ (sp.translation - base) + base)
@@ -175,32 +183,13 @@ POSE_CALL = Transform(np.eye(3), [0.3, 0.1, 0.5])
         lambda P: arm_angle(P, Q_CALL),
         lambda P: reduce_pose(P, POSE_CALL),
         lambda P: classify(Q_CALL, P),
-        lambda P: special_pose(P, 0.5, -0.7, 0.3),
     ],
-    ids=["forward_kinematics", "frame_points", "arm_angle", "reduce_pose", "classify",
-         "special_pose"],
+    ids=["forward_kinematics", "frame_points", "arm_angle", "reduce_pose", "classify"],
 )
 def test_public_functions_reject_foreign_params(call, bad):
     # these read params' float tables directly, which raised AttributeError
     with pytest.raises(InvalidInput, match="^params must be a RobotParams$"):
         call(bad)
-
-
-@pytest.mark.parametrize("arg", ["d_sc", "q", "al"])
-@pytest.mark.parametrize("bad", ["0.5", None, True, [0.5], math.inf, -math.inf, math.nan, 10**400],
-                         ids=["str", "none", "bool", "list", "inf", "-inf", "nan", "huge_int"])
-def test_special_pose_rejects_bad_numbers(params, arg, bad):
-    args = {"d_sc": 0.5, "q": -0.7, "al": 0.3, arg: bad}
-    with pytest.raises(InvalidInput, match=f"^{arg} must be a finite number$"):
-        special_pose(params, **args)
-
-
-def test_special_pose_takes_ints_and_numpy_numbers(params):
-    want = special_pose(params, 0.5, -1.0, 0.0)
-    for args in ((np.float64(0.5), -1, 0), (0.5, np.int64(-1), np.float32(0.0))):
-        got = special_pose(params, *args)
-        assert np.array_equal(got.rotation, want.rotation)
-        assert np.array_equal(got.translation, want.translation)
 
 
 # C on the shoulder (zero_sc) and the tool z-axis along SC (axis_parallel):
@@ -247,7 +236,7 @@ def test_reduce_pose_fixed_point(params):
     assert abs(rp.d_sc - 0.4) < 1e-12
     assert abs(rp.q - (-0.7)) < 1e-12
     assert abs(rp.al - 0.3) < 1e-12
-    assert_allclose(_align(rp), np.eye(3), atol=1e-12)
+    assert_allclose(_align(params, pose), np.eye(3), atol=1e-12)
 
 
 def test_reduce_pose_axis_parallel(params):
@@ -269,11 +258,14 @@ def test_reduce_pose_far_offsets_keep_direction(params):
     for scale in (1e154, 1e200, 1e300):
         R = special_pose(params, 0.4, -0.7, 0.3).rotation
         sc = rng.normal(size=3) * scale
+        pose = Transform(R, sc + [0.0, 0.0, params.d_bs])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rp = reduce_pose(params, Transform(R, sc + [0.0, 0.0, params.d_bs]))
+            rp = reduce_pose(params, pose)
+            back = _reconstruct(params, pose, rp)
         assert abs(rp.d_sc - math.hypot(*sc)) <= 1e-15 * rp.d_sc
-        assert_allclose(_align(rp) @ (sc / rp.d_sc), [0.0, 0.0, 1.0], atol=1e-12)
+        assert_allclose(back.rotation, R, atol=1e-12)
+        assert_allclose(back.translation, pose.translation, rtol=1e-12)
 
 
 def test_reduce_pose_plain_norm_is_bit_exact(params):
@@ -295,12 +287,12 @@ def test_reduce_reconstruct_random_poses(params):
         rp = reduce_pose(params, pose)
         assert rp.d_sc > 0
         assert -math.pi <= rp.q <= 0.0
-        back = _reconstruct(params, rp)
+        back = _reconstruct(params, pose, rp)
         assert_allclose(back.rotation, pose.rotation, atol=1e-9)
         assert_allclose(back.translation, pose.translation, atol=1e-9)
-        # align maps SC onto +z and the pose rotation onto Roty(q)Rotz(al)
+        # the alignment maps SC onto +z at length d_sc
         sc = pose.translation - np.array([0.0, 0.0, params.d_bs])
-        assert_allclose(_align(rp) @ sc, [0.0, 0.0, rp.d_sc], atol=1e-12)
+        assert_allclose(_align(params, pose) @ sc, [0.0, 0.0, rp.d_sc], atol=1e-12)
 
 
 def test_reduce_special_pose_grid(params):
@@ -348,3 +340,53 @@ def test_arm_angle_invariant_over_self_motion(params):
             assert len(res.branches) + len(res.rejected) == 16
             for br in res.branches:
                 assert abs(_wrap(arm_angle(params, br.joints.q) - psi)) < 1e-8
+
+
+GEOM = (0.36, 0.42, 0.4, 0.0905)
+Q_SCALED = [0.4, -1.2, 0.5, 1.1, -0.3, 0.9, 0.2]
+
+
+def test_arm_angle_up_to_the_length_cut_off_matches_unit_scale():
+    # RobotParams refuses links summing past SQUARE_OVERFLOW_LEN (scale 1e150
+    # of this table sums to 1.27e150); up to there nothing overflows
+    unit = RobotParams(*GEOM)
+    want_psi = arm_angle(unit, Q_SCALED)
+    want_ref = classify(Q_SCALED, unit).distances["reference_parallel"]
+    for scale in (1e100, 1e149, 0.999 * K.SQUARE_OVERFLOW_LEN / sum(GEOM)):
+        P = RobotParams(*(v * scale for v in GEOM))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert abs(arm_angle(P, Q_SCALED) - want_psi) < 1e-9
+            assert abs(classify(Q_SCALED, P).distances["reference_parallel"] - want_ref) < 1e-9
+
+
+def _arm_angle_or_none(params, q):
+    try:
+        return arm_angle(params, q)
+    except ArmikError:
+        return None
+
+
+@settings(derandomize=True, database=None, max_examples=1000, deadline=None)
+@given(u=st.floats(0.0, 310.0),
+       q=st.lists(st.floats(-math.pi, math.pi), min_size=7, max_size=7))
+def test_link_scales_up_to_the_float_range_give_coded_errors_only(u, q):
+    # links scaled by 10^u: RobotParams takes them or raises InvalidParams,
+    # and what it takes overflows nowhere on the way to the arm angle
+    half = 10.0 ** (u / 2)  # 10.0 ** u would raise OverflowError from u = 308.25
+    try:
+        P = RobotParams(*(v * half * half for v in GEOM))
+    except InvalidParams:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for call in (forward_kinematics, frame_points, lambda P, q: classify(q, P)):
+            try:
+                call(P, q)
+            except ArmikError:
+                pass
+        psi = _arm_angle_or_none(P, q)
+    want = _arm_angle_or_none(RobotParams(*GEOM), q)
+    if want is not None:
+        assert psi is not None
+        assert abs(_wrap(psi - want)) < 1e-9

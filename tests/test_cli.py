@@ -16,11 +16,10 @@ from armik import (
     ArmikError, IkRequest, JointConfig, RejectedBranch, SolutionSet, Transform, arm_angle,
     default_params, forward_kinematics, solve,
 )
-from armik.arm_angle import special_pose
 from armik import _kernels_impl as _K
 from armik.verify import fk_oracle
 from armik.cli import _parse_rotation, main
-from conftest import sample_far_joints
+from conftest import sample_far_joints, special_pose
 
 
 def _run(capsys, argv):
@@ -591,6 +590,17 @@ def test_deeply_nested_params_file_is_invalid_params(capsys, tmp_path):
     assert main(["--params", str(pfile), "fk", "--json", json.dumps({"joints": [0.0] * 7})]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["tag"] == "invalid_params"
+
+
+def test_params_file_past_the_overflow_cut_off_is_invalid_params(capsys, tmp_path):
+    pfile = tmp_path / "robot.json"
+    pfile.write_text(json.dumps({"d_bs": 0.36e160, "d_se": 0.42e160, "d_ew": 0.4e160,
+                                 "a_wr": 0.05e160}))
+    item = json.dumps({"joints": [0.4, -1.2, 0.5, 1.1, -0.3, 0.9, 0.2]})
+    for command in ("fk", "arm-angle"):
+        assert main(["--params", str(pfile), command, "--json", item]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["tag"] == "invalid_params"
 
 
 def _ik_argv(params):

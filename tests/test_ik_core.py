@@ -27,12 +27,11 @@ from armik import (
     reduce_pose,
     solve,
 )
-from armik.arm_angle import special_pose
 from armik.ik_core import leaf_label
 from armik.verify import fk_oracle
 from armik.ik_core import DEFAULT_TOLERANCES
 from armik import _kernels_impl as K
-from conftest import family_sample, merged_root, sample_far_joints
+from conftest import family_sample, merged_root, sample_far_joints, special_pose
 
 
 def _wrap(a):

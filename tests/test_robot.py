@@ -315,6 +315,14 @@ def test_params_accept_their_canonical_table_at_any_scale(lo, hi, n):
         assert RobotParams(d_bs, d_se, d_ew, a_wr, P.mdh).to_dict() == P.to_dict()
 
 
+@pytest.mark.parametrize("scale", [1e155, 1e160, 1e300])
+def test_params_reject_links_whose_squares_overflow(scale):
+    # from about 1e154 m squared point distances overflow: arm_angle would
+    # read 0.0 and classify's reference_parallel pi/2
+    with pytest.raises(InvalidParams, match=r"^link lengths must sum to at most 1e\+150 m$"):
+        RobotParams(0.36 * scale, 0.42 * scale, 0.4 * scale, 0.05 * scale)
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e8, 1e13])
 @pytest.mark.parametrize("col", [0, 1, 2])
 def test_params_still_reject_a_table_off_the_chain(scale, col):
