@@ -21,20 +21,22 @@ from .robot import (
     JointConfig,
     RobotParams,
     Transform,
+    arm_angle,
     default_params,
     forward_kinematics,
     frame_points,
     load_params,
 )
-from .arm_angle import ReducedPose, arm_angle, reduce_pose
 from .ik_core import (
     REASON_CATEGORY,
     REASON_NAMES,
     IkBranch,
     IkRequest,
+    ReducedPose,
     RejectedBranch,
     SolutionSet,
     ToleranceSet,
+    reduce_pose,
     solve,
 )
 from .singularity import SingularityReport, classify

@@ -16,8 +16,7 @@ import stat
 import sys
 
 from .errors import ArmikError, InvalidInput, InvalidRotation
-from .robot import JointConfig, Transform, _read_floats, default_params, load_params
-from .arm_angle import arm_angle
+from .robot import JointConfig, Transform, _read_floats, arm_angle, default_params, load_params
 from .ik_core import IkRequest, SolutionSet, _branch_label, solve
 from . import _kernels_impl as _K
 from ._kernels_impl import HIT_TOL, HIT_TOL_M, QUAT_NORM_TOL, TOL_LEN, TOL_PARALLEL
@@ -28,12 +27,6 @@ _PARSE_TAGS = ("invalid_params", "invalid_rotation", "invalid_input")
 SWEEP_MAX_COUNT = 10000
 
 
-# encoded rejection entries of the kernel's shared LEAF_REJ records, keyed by
-# the record's identity. Those records live as long as the kernel module, so
-# no key is reused by another object, and the table holds at most one entry
-# per (reason, leaf). A dict keyed by the record itself would hash its four
-# fields in Python on every lookup
-_REJECTED_JSON = {}
 # A branch object is written in fragments. Per branch: its label, joints
 # 1-3, q2_sign and pose_error. Per elbow pair (root slot and q4_sign):
 # joints 4-5. Per root slot: joints 6-7, root_index, t6, r6, q8 and the two
@@ -99,25 +92,21 @@ def _fmt_solution_set(res):
             pair = _PAIR_JSON % (q4, q5, slot_joints, sign)
         branches.append(_BRANCH_JSON % (_branch_label(root, sign, q2_sign), q1, q2, q3, pair,
                                         q2_sign, slot_head, perr, slot_tail))
-    rejected = []
-    for r in res.rejected:
-        enc = _REJECTED_JSON.get(id(r))
-        if enc is None:
-            enc = _fmt({"branch": r.label, "reason": r.reason, "category": r.category})
-            if _is_shared(r):
-                _REJECTED_JSON[id(r)] = enc
-        rejected.append(enc)
+    rejected = [_REJECTED_JSON.get(id(r)) or _fmt_rejected(r) for r in res.rejected]
     return '{"count":%d,"branches":[%s],"rejected":[%s]}' % (
         len(branches), ",".join(branches), ",".join(rejected),
     )
 
 
-def _is_shared(r):
-    # r is the kernel's LEAF_REJ record of its reason and leaf
-    try:
-        return _K.LEAF_REJ[r.reason][r.leaf] is r
-    except (KeyError, IndexError, TypeError):
-        return False
+def _fmt_rejected(r):
+    return _fmt({"branch": r.label, "reason": r.reason, "category": r.category})
+
+
+# encoded rejection entries of the kernel's shared LEAF_REJ records, keyed by
+# the record's identity. Those records live as long as the kernel module, so
+# no other live object has one of their ids. A dict keyed by the record
+# itself would hash its four fields in Python on every lookup
+_REJECTED_JSON = {id(r): _fmt_rejected(r) for recs in _K.LEAF_REJ.values() for r in recs}
 
 
 def _error_obj(exc):
@@ -213,8 +202,7 @@ def _cmd_fk(params, item):
 
 
 def _cmd_arm_angle(params, item):
-    joints = _get_joints(item)
-    return {"psi": arm_angle(params, joints)}
+    return {"psi": arm_angle(params, _get_joints(item))}
 
 
 def _cmd_classify(params, item):
@@ -248,7 +236,8 @@ def _cmd_sweep(params, item):
         start = float(item["start"])
         stop = float(item["stop"])
         count = item["count"]
-    except (KeyError, TypeError, ValueError):
+    # OverflowError: an integer beyond the float range
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise InvalidInput("sweep input needs numeric 'start', 'stop', 'count'") from None
     # a JSON integer, or a float with an integral value such as 5.0 or 1e3
     if type(count) is float and count.is_integer():

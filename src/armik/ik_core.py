@@ -17,8 +17,12 @@ joints in the user coordinates declared by the parameter table, with its
 rejected leaves as shared RejectedBranch records. Its stage slots_core
 gives per root slot the reason that rejects its four leaves, or the record
 they share (t6, r6, q8, residuals, q4a, q5's atan2 arguments, R05, u6, u7).
-solve() validates the request, reduces the pose, runs the kernel and
-assembles its branches.
+The reduction comes first: reduce_pose turns a pose into the three numbers
+the closed form reads, the SC length d_sc (S the shoulder, C the axis-7
+center), the angle q of the tool z-axis from SC and the tool rotation al
+about its z-axis. The kernel takes q1..q3 from the pose's own rotation, so
+no frame change is kept. solve() validates the request, reduces the pose,
+runs the kernel and assembles its branches.
 """
 
 from dataclasses import dataclass
@@ -28,7 +32,6 @@ from .errors import InvalidInput
 from .robot import (
     JointConfig, RobotParams, Transform, _OnRead, _check_params, _check_tolerance, _joint_floats,
 )
-from .arm_angle import reduce_pose
 from . import _kernels_impl as _K
 from ._kernels_impl import (
     ANGLE_MERGE_TOL, BRANCH_RESIDUAL_TOL, COMPLEX_PAIR_TOL, DEGREE_TOL, POSE_TOL, PSI_TOL,
@@ -143,6 +146,42 @@ class SolutionSet:
 
 
 @dataclass
+class ReducedPose:
+    """Standard form of a tool pose.
+
+    d_sc: shoulder to axis-7-center distance, q: polar angle of the tool
+    z-axis from SC (in [-pi, 0]), al: tool rotation about its z-axis.
+    """
+
+    d_sc: float
+    q: float
+    al: float
+
+
+def _check_inputs(pose, params, tolerances):
+    # the type checks of a request's fields; a ToleranceSet has checked its values
+    if not isinstance(pose, Transform):
+        raise InvalidInput("pose must be a Transform")
+    _check_params(params)
+    if not isinstance(tolerances, ToleranceSet):
+        raise InvalidInput("tolerances must be a ToleranceSet")
+
+
+def reduce_pose(params, pose, tolerances=DEFAULT_TOLERANCES):
+    """Reduce a tool pose to its standard form.
+
+    Raises ZeroSC when the axis-7 center falls within tolerances.tol_len of
+    the shoulder and AxisParallel when the sine of the angle between the
+    tool z-axis and SC is below tolerances.tol_parallel (al is then
+    undefined). Raises InvalidInput unless pose is a Transform, params a
+    RobotParams and tolerances a ToleranceSet.
+    """
+    _check_inputs(pose, params, tolerances)
+    return ReducedPose(*_K.reduce_pose_core(pose._rot, pose._pos, params.d_bs,
+                                            tolerances.tol_len, tolerances.tol_parallel))
+
+
+@dataclass
 class IkRequest:
     """A single inverse kinematics query."""
 
@@ -157,11 +196,7 @@ class IkRequest:
 
 def _check_fields(pose, psi, params, tolerances):
     """Check the fields of a request; returns psi as a float in (-pi, pi]."""
-    if not isinstance(pose, Transform):
-        raise InvalidInput("pose must be a Transform")
-    _check_params(params)
-    if not isinstance(tolerances, ToleranceSet):
-        raise InvalidInput("tolerances must be a ToleranceSet")
+    _check_inputs(pose, params, tolerances)
     try:
         psi = float(psi)
     except (TypeError, ValueError, OverflowError):
@@ -188,18 +223,10 @@ def solve(request):
     """
     if not isinstance(request, IkRequest):
         raise InvalidInput("request must be an IkRequest")
-    pose, psi, params, tol = request.pose, request.psi, request.params, request.tolerances
-    # the fields stay editable after construction, so they are checked here.
-    # A request as built passes this cheap test; any other goes through the
-    # constructor's checks, so an edited request is solved as if built from
-    # its current fields and a bad one raises (reduce_pose checks the pose)
-    if not (
-        isinstance(params, RobotParams)
-        and isinstance(tol, ToleranceSet)
-        and type(psi) is float
-        and -math.pi < psi <= math.pi
-    ):
-        psi = _check_fields(pose, psi, params, tol)
-    rp = reduce_pose(params, pose, tol.tol_len, tol.tol_parallel)
+    pose, params, tol = request.pose, request.params, request.tolerances
+    # the fields stay editable after construction, so an edited request is
+    # checked and solved as if built from its current fields
+    psi = _check_fields(pose, request.psi, params, tol)
+    rp = reduce_pose(params, pose, tol)
     return _assemble(_K.ik_solve_core(params, tol, pose._rot, pose._pos, rp.d_sc, rp.q, rp.al,
                                       psi))

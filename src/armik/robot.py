@@ -1,4 +1,4 @@
-"""Robot model: link-transform convention, parameters, forward kinematics.
+"""Robot model: link-transform convention, parameters, forward kinematics, arm angle.
 
 The kinematic chain is described by modified Denavit-Hartenberg rows
 (alpha, a, d, theta_offset), one per joint, with the link transform
@@ -24,7 +24,7 @@ import sys
 from .errors import InvalidInput, InvalidParams, InvalidRotation
 from . import _kernels_impl as _K
 from ._kernels_impl import (BASE_OFFSETS, PARAMS_STRUCTURE_TOL, ROT_TOL, SQUARE_OVERFLOW_LEN,
-                            link_table)
+                            TOL_LEN, TOL_PARALLEL, link_table)
 
 # canonical chain structure: alpha and a columns are fixed by the geometry,
 # d column carries the three link lengths, row 7 carries the wrist offset
@@ -383,3 +383,19 @@ def frame_points(params, joints):
     _check_params(params)
     _, p, S, E, W = _K.fk_chain(params._links, _joint_floats(joints))
     return FramePoints(_array(S), _array(E), _array(W), _array(p))
+
+
+def arm_angle(params, joints):
+    """Arm angle psi of a joint configuration, in (-pi, pi].
+
+    psi is the signed dihedral angle, about the line SC from the shoulder S
+    to the axis-7 center C, from the plane containing SC and the tool z-axis
+    to the plane containing SC and the elbow. It parameterizes the
+    self-motion of the redundant arm for a fixed tool pose.
+
+    Raises ZeroSC when C coincides with S, AxisParallel when the tool z-axis
+    is parallel to SC, DegenerateArm when the elbow lies on the SC line.
+    """
+    _check_params(params)
+    R, C, S, E, W = _K.fk_chain(params._links, _joint_floats(joints))
+    return _K.arm_dihedral(S, E, C, (R[2], R[5], R[8]), TOL_LEN, TOL_PARALLEL)

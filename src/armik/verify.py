@@ -4,7 +4,8 @@ Everything here deliberately avoids the homogeneous-matrix kernels and the
 closed-form solver internals: forward kinematics is recomputed with unit
 quaternions, quartic roots come from the companion-matrix eigenvalues, and
 the iterative IK is a plain damped least squares loop on a finite-difference
-Jacobian. Tests use these to cross-check the analytical code paths.
+Jacobian of that quaternion FK. Tests use these to cross-check the
+analytical code paths.
 """
 
 from dataclasses import dataclass, field
@@ -13,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import AllCoefficientsZero, InvalidInput, NoConvergence
-from .robot import JointConfig, Transform, _joint_floats
+from .robot import JointConfig, Transform, _check_params, _joint_floats
 from ._kernels_impl import COMPLEX_PAIR_TOL, DEGREE_TOL, ROOT_MERGE_TOL
 
 
@@ -209,26 +210,30 @@ def numeric_ik(
 ):
     """Damped least squares IK from a seed configuration.
 
-    Pure numerical method on a finite-difference Jacobian; shares no code
-    with the analytical solver. Raises NoConvergence if the error does not
-    fall below tol within max_iters sweeps.
+    Pure numerical method: each iteration evaluates the quaternion FK of
+    fk_oracle_batch once, on the current joints and on each joint moved by
+    +-1e-5 rad, which gives the residual and a central-difference Jacobian;
+    shares no code with the analytical solver. Raises NoConvergence if the
+    error does not fall below tol within max_iters sweeps.
     """
-    from .singularity import numeric_jacobian
-    from .robot import forward_kinematics
-
+    _check_params(params)
     q = np.array(_joint_floats(seed))
+    h = 1e-5
     p_t = np.asarray(pose.translation, dtype=float)
     R_t = np.asarray(pose.rotation, dtype=float)
+    # row 0 the current joints, rows 1-7 each joint moved by +h, rows 8-14 by -h
+    steps = np.vstack([np.zeros(7), h * np.eye(7), -h * np.eye(7)])
     err = math.inf
     for it in range(max_iters):
-        cur = forward_kinematics(params, q)
-        e = np.concatenate(
-            [p_t - cur.translation, _rotation_error_vec(R_t, cur.rotation)]
-        )
+        R, p = fk_oracle_batch(params, q + steps)
+        e = np.concatenate([p_t - p[0], _rotation_error_vec(R_t, R[0])])
         err = np.linalg.norm(e)
         if err < tol:
             return NumericIkResult(JointConfig(q).wrapped(), it, float(err))
-        J = numeric_jacobian(q, params)
+        # linear velocity, then angular velocity: the skew part of dR/dq_i R^T
+        dR = (R[1:8] - R[8:]) @ R[0].T
+        w = 0.5 * (dR[:, [2, 0, 1], [1, 2, 0]] - dR[:, [1, 2, 0], [2, 0, 1]])
+        J = np.vstack([(p[1:8] - p[8:]).T, w.T]) / (2 * h)
         A = J @ J.T + (damping ** 2) * np.eye(6)
         dq = J.T @ np.linalg.solve(A, e)
         q = q + dq
@@ -248,10 +253,9 @@ class CheckResult:
 
 def check_all(params, n=500, seed=0):
     """Cross-check the analytical paths against the oracles on random data."""
-    from .robot import forward_kinematics
+    from .robot import arm_angle, forward_kinematics
     from ._kernels_impl import solve_quartic_core
     from .ik_core import IkRequest, solve
-    from .arm_angle import arm_angle
     from .singularity import family_distance
     from .errors import ArmikError
 

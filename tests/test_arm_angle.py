@@ -22,10 +22,12 @@ from armik import (
     reduce_pose,
     solve,
     IkRequest,
+    ToleranceSet,
     Transform,
 )
 from armik import default_params
 from armik import _kernels_impl as K
+from armik.verify import fk_oracle
 from conftest import quartic_roots, sample_far_joints, special_pose
 
 
@@ -218,16 +220,25 @@ ALONG_SC = Transform(np.eye(3), [0.0, 0.0, 0.86])
 )
 def test_reduce_pose_rejects_bad_tolerances(pose, tol_len, tol_parallel):
     with pytest.raises(InvalidInput, match="^tolerance tol_(len|parallel) must be a positive"):
-        reduce_pose(default_params(), pose, tol_len, tol_parallel)
+        reduce_pose(default_params(), pose, ToleranceSet(tol_len=tol_len,
+                                                         tol_parallel=tol_parallel))
+
+
+def test_reduce_pose_rejects_a_foreign_tolerance_set():
+    # a float where tol_len used to be
+    with pytest.raises(InvalidInput, match="^tolerances must be a ToleranceSet$"):
+        reduce_pose(default_params(), POSE_CALL, 1e-9)
 
 
 def test_reduce_pose_takes_any_positive_finite_tolerance(params):
     pose = special_pose(params, 0.4, -0.7, 0.3)
     want = reduce_pose(params, pose)
-    assert reduce_pose(params, pose, np.float64(1e-9), np.float64(1e-8)) == want
-    assert reduce_pose(params, pose, 1e-300, 1e-300) == want
+    assert reduce_pose(params, pose, ToleranceSet(tol_len=np.float64(1e-9),
+                                                  tol_parallel=np.float64(1e-8))) == want
+    assert reduce_pose(params, pose, ToleranceSet(tol_len=1e-300, tol_parallel=1e-300)) == want
     with pytest.raises(AxisParallel):
-        reduce_pose(params, pose, 1e-9, 1)  # an int is a tolerance too
+        # an int is a tolerance too
+        reduce_pose(params, pose, ToleranceSet(tol_len=1e-9, tol_parallel=1))
 
 
 def test_reduce_pose_fixed_point(params):
@@ -390,3 +401,29 @@ def test_link_scales_up_to_the_float_range_give_coded_errors_only(u, q):
     if want is not None:
         assert psi is not None
         assert abs(_wrap(psi - want)) < 1e-9
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(u=st.floats(-12.0, 149.89),  # GEOM sums to 1.27 m, the cut-off is 1e150 m
+       q=st.lists(st.floats(-math.pi, math.pi), min_size=7, max_size=7),
+       psi=st.floats(-math.pi, math.pi))
+def test_solve_at_extreme_link_scales_gives_verified_branches_or_coded_errors(u, q, psi):
+    # links scaled by 10^u, solved at the configuration's own arm angle and
+    # at psi: every leaf is accounted for and every branch reaches the pose
+    scale = 10.0 ** u
+    P = RobotParams(*(v * scale for v in GEOM))
+    pose = forward_kinematics(P, q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        own = _arm_angle_or_none(P, q)
+        for target in [psi] if own is None else [own, psi]:
+            try:
+                res = solve(IkRequest(pose, target, P))
+            except ArmikError:
+                continue
+            assert len(res.branches) + len(res.rejected) == 16
+            for br in res.branches:
+                chk = fk_oracle(P, br.joints.q)
+                assert_allclose(chk.rotation, pose.rotation, rtol=0, atol=1e-8)
+                assert_allclose(chk.translation, pose.translation, rtol=0,
+                                atol=1e-8 * sum(GEOM) * scale)

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -8,6 +10,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import armik.cli
@@ -365,6 +368,58 @@ def test_sweep_rejects_nan_start(capsys, monkeypatch):
 
 def test_sweep_rejects_overflowing_count(capsys, monkeypatch):
     _assert_sweep_rejected(capsys, monkeypatch, "-0.5", "0.5", "1e400")
+
+
+@pytest.mark.parametrize("start, stop", [("1" + "0" * 400, "0.5"), ("-0.5", "-1" + "0" * 400)],
+                         ids=["start", "stop"])
+def test_sweep_rejects_an_integer_beyond_the_float_range(capsys, monkeypatch, start, stop):
+    _assert_sweep_rejected(capsys, monkeypatch, start, stop, "3")
+
+
+# one valid item per subcommand that reads items; the ik item gives its
+# rotation as a quaternion, the sweep item as a matrix
+_POSE_Q0 = forward_kinematics(default_params(), Q0)
+VALID_ITEMS = {
+    "ik": {"position": _POSE_Q0.translation.tolist(), "rotation": [0.9, 0.1, -0.3, 0.3],
+           "psi": 0.3},
+    "fk": {"joints": Q0},
+    "arm-angle": {"joints": Q0},
+    "classify": {"joints": Q0, "hit_tol": 1e-6, "hit_tol_m": 1e-9},
+    "sweep": dict(SWEEP_POSE, start=-0.5, stop=0.5, count=3),
+}
+
+
+def _number_paths(v, path=()):
+    # the key and index paths of every number in the JSON value v
+    if isinstance(v, dict):
+        return [p for k, x in v.items() for p in _number_paths(x, path + (k,))]
+    if isinstance(v, list):
+        return [p for i, x in enumerate(v) for p in _number_paths(x, path + (i,))]
+    return [path] if type(v) in (int, float) else []
+
+
+def _replaced(item, path, value):
+    item = json.loads(json.dumps(item))
+    parent = item
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return item
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data(), cmd=st.sampled_from(sorted(VALID_ITEMS)),
+       value=st.sampled_from([10 ** 400, -10 ** 400, 10 ** 309]))
+def test_integers_beyond_the_float_range_give_a_json_document(data, cmd, value):
+    # JSON integers have no float limit; every item field that reads a number
+    # must turn one beyond the float range into a coded error or a result
+    item = VALID_ITEMS[cmd]
+    path = data.draw(st.sampled_from(_number_paths(item)), label="path")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main([cmd, "--json", json.dumps(_replaced(item, path, value))])
+    assert rc in (0, 1, 2)
+    json.loads(out.getvalue())
 
 
 def test_sweep_rejects_huge_count(capsys, monkeypatch):

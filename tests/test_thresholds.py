@@ -9,7 +9,7 @@ from pathlib import Path
 import armik
 import armik.verify
 from armik import _kernels_impl as T
-from armik.ik_core import ToleranceSet
+from armik.ik_core import DEFAULT_TOLERANCES, ToleranceSet
 from armik.robot import check_rotation
 
 # every entry of the table, at the value the solver has always used
@@ -40,7 +40,7 @@ TABLE = {
 }
 
 # modules on the solve and `armik ik` paths
-GUARDED = ("_kernels_impl.py", "robot.py", "arm_angle.py", "ik_core.py", "cli.py")
+GUARDED = ("_kernels_impl.py", "robot.py", "ik_core.py", "cli.py")
 # underflow guards of divisions, not thresholds
 UNDERFLOW_GUARD = 1e-300
 
@@ -73,8 +73,7 @@ def test_defaults_read_the_table():
     defaults = ToleranceSet()
     for name, value in fields.items():
         assert getattr(defaults, name) is value, name
-    assert _default(armik.reduce_pose, "tol_len") is T.TOL_LEN
-    assert _default(armik.reduce_pose, "tol_parallel") is T.TOL_PARALLEL
+    assert _default(armik.reduce_pose, "tolerances") is DEFAULT_TOLERANCES
     assert "ROT_TOL" in check_rotation.__code__.co_names
     assert _default(armik.classify, "hit_tol") is T.HIT_TOL
     assert _default(armik.classify, "hit_tol_m") is T.HIT_TOL_M

@@ -129,6 +129,27 @@ def test_numeric_ik_far_seed_contract(params):
     assert np.linalg.norm(chk.translation - pose.translation) < 1e-9
 
 
+def test_numeric_ik_needs_no_kernel_fk(params, monkeypatch):
+    # the solver verifies its branches with the kernel's fk_chain, so the
+    # oracle must converge without it
+    import armik._kernels_impl
+
+    rng = np.random.default_rng(86)
+    q0 = sample_far_joints(rng, params)
+    pose = forward_kinematics(params, q0)
+
+    def fk_chain(*args):
+        raise AssertionError("kernel fk_chain called")
+
+    monkeypatch.setattr(armik._kernels_impl, "fk_chain", fk_chain)
+    res = numeric_ik(params, pose, q0 + rng.uniform(-1e-3, 1e-3, 7), tol=1e-10)
+    assert res.error < 1e-10
+    monkeypatch.undo()
+    chk = forward_kinematics(params, res.joints.q)
+    assert_allclose(chk.translation, pose.translation, atol=1e-9)
+    assert_allclose(chk.rotation, pose.rotation, atol=1e-9)
+
+
 def test_analytical_branches_are_numeric_fixed_points(params):
     rng = np.random.default_rng(85)
     for _ in range(5):
