@@ -43,7 +43,6 @@ ROT_TOL = 1e-9  # rotation input off orthonormal, or its determinant off +1 (uni
 QUAT_NORM_TOL = 1e-9  # quaternion input norm off 1 (unitless)
 HIT_TOL = 1e-6  # classify: distance of a singular family that counts as a hit (rad)
 HIT_TOL_M = 1e-9  # classify: the same for the branch-fold expression (m)
-SC_LEN_TOL = 1e-12  # classify: a shorter SC sets reference_parallel to 0 (m)
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi

@@ -21,8 +21,10 @@ The reduction comes first: reduce_pose turns a pose into the three numbers
 the closed form reads, the SC length d_sc (S the shoulder, C the axis-7
 center), the angle q of the tool z-axis from SC and the tool rotation al
 about its z-axis. The kernel takes q1..q3 from the pose's own rotation, so
-no frame change is kept. solve() validates the request, reduces the pose,
-runs the kernel and assembles its branches.
+no frame change is kept. An IkRequest is a plain record that stays
+editable, so solve() is the one place its fields are checked: it checks
+and wraps psi, reduces the pose (reduce_pose checks the pose, params and
+tolerances types), runs the kernel and assembles its branches.
 """
 
 from dataclasses import dataclass
@@ -135,7 +137,8 @@ class SolutionSet:
                  b.arm_eq_residual, b.pose_eq_residual, b.pose_error) for b in d["branches"]]
 
     def __len__(self):
-        return len(self._rows())
+        d = self.__dict__
+        return len(d["branches"] if "branches" in d else d["_branches"])
 
     def joints_array(self):
         import numpy as np
@@ -158,15 +161,6 @@ class ReducedPose:
     al: float
 
 
-def _check_inputs(pose, params, tolerances):
-    # the type checks of a request's fields; a ToleranceSet has checked its values
-    if not isinstance(pose, Transform):
-        raise InvalidInput("pose must be a Transform")
-    _check_params(params)
-    if not isinstance(tolerances, ToleranceSet):
-        raise InvalidInput("tolerances must be a ToleranceSet")
-
-
 def reduce_pose(params, pose, tolerances=DEFAULT_TOLERANCES):
     """Reduce a tool pose to its standard form.
 
@@ -174,36 +168,26 @@ def reduce_pose(params, pose, tolerances=DEFAULT_TOLERANCES):
     the shoulder and AxisParallel when the sine of the angle between the
     tool z-axis and SC is below tolerances.tol_parallel (al is then
     undefined). Raises InvalidInput unless pose is a Transform, params a
-    RobotParams and tolerances a ToleranceSet.
+    RobotParams and tolerances a ToleranceSet (which checked its values).
     """
-    _check_inputs(pose, params, tolerances)
+    if not isinstance(pose, Transform):
+        raise InvalidInput("pose must be a Transform")
+    _check_params(params)
+    if not isinstance(tolerances, ToleranceSet):
+        raise InvalidInput("tolerances must be a ToleranceSet")
     return ReducedPose(*_K.reduce_pose_core(pose._rot, pose._pos, params.d_bs,
                                             tolerances.tol_len, tolerances.tol_parallel))
 
 
 @dataclass
 class IkRequest:
-    """A single inverse kinematics query."""
+    """A single inverse kinematics query: a plain, editable record of its
+    fields, which solve() checks when it reads them."""
 
     pose: Transform
     psi: float
     params: RobotParams
     tolerances: ToleranceSet = DEFAULT_TOLERANCES
-
-    def __post_init__(self):
-        self.psi = _check_fields(self.pose, self.psi, self.params, self.tolerances)
-
-
-def _check_fields(pose, psi, params, tolerances):
-    """Check the fields of a request; returns psi as a float in (-pi, pi]."""
-    _check_inputs(pose, params, tolerances)
-    try:
-        psi = float(psi)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidInput("psi must be a number") from None
-    if not math.isfinite(psi):
-        raise InvalidInput("psi must be finite")
-    return _K.wrap_angle(psi)
 
 
 def _assemble(kout):
@@ -219,14 +203,18 @@ def solve(request):
     Reduces the pose, runs the special-configuration pipeline, and verifies
     every branch against the original pose (whose rotation also feeds the
     q1..q3 factorization directly). Raises ZeroSC or AxisParallel for
-    poses where the reduction itself is degenerate.
+    poses where the reduction itself is degenerate, InvalidInput for a field
+    of the wrong kind or a psi that is not a finite number.
     """
     if not isinstance(request, IkRequest):
         raise InvalidInput("request must be an IkRequest")
+    try:
+        psi = float(request.psi)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInput("psi must be a number") from None
+    if not math.isfinite(psi):
+        raise InvalidInput("psi must be finite")
     pose, params, tol = request.pose, request.params, request.tolerances
-    # the fields stay editable after construction, so an edited request is
-    # checked and solved as if built from its current fields
-    psi = _check_fields(pose, request.psi, params, tol)
     rp = reduce_pose(params, pose, tol)
     return _assemble(_K.ik_solve_core(params, tol, pose._rot, pose._pos, rp.d_sc, rp.q, rp.al,
-                                      psi))
+                                      _K.wrap_angle(psi)))

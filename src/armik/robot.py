@@ -201,10 +201,14 @@ class JointConfig:
         return JointConfig([_K.wrap_angle(v) for v in _joint_floats(self)])
 
     def __eq__(self, other):
-        # as float tuples: the generated __eq__ compares arrays, which raises
+        # as float tuples: the generated __eq__ compares arrays, which raises;
+        # a q edited to other than 7 finite numbers equals nothing, as nan
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return tuple(_joint_floats(self)) == tuple(_joint_floats(other))
+        try:
+            return tuple(_joint_floats(self)) == tuple(_joint_floats(other))
+        except InvalidInput:
+            return False
 
     def __iter__(self):
         return iter(self.q)
@@ -225,6 +229,15 @@ class FramePoints:
     elbow: "np.ndarray"
     wrist: "np.ndarray"
     axis7: "np.ndarray"
+
+    def __eq__(self, other):
+        # point by point: the generated __eq__ compares arrays with ==, which
+        # raises; array_equal reads unequal shapes or values as unequal
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        import numpy as np
+        return all(map(np.array_equal, (self.shoulder, self.elbow, self.wrist, self.axis7),
+                       (other.shoulder, other.elbow, other.wrist, other.axis7)))
 
 
 @dataclass(frozen=True)
@@ -308,6 +321,19 @@ class RobotParams:
                     f"declared {want:.12f}"
                 )
 
+    def _key(self):
+        return (self.d_bs, self.d_se, self.d_ew, self.a_wr, self._mdh)
+
+    def __eq__(self, other):
+        # on the floats: the generated __eq__ and __hash__ read the mdh array,
+        # which raises; the table keeps custom theta offsets apart
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
     @property
     def delta(self):
         """Offset between user joint coordinates and internal coordinates."""
@@ -365,9 +391,12 @@ def default_params():
 
 
 def _joint_floats(joints):
-    # a JointConfig's floats (its q array's, once built) or validated input
+    # a JointConfig's floats while its q is unread; q is writeable once read,
+    # so it is checked as it is read, as any other input
     if isinstance(joints, JointConfig):
-        return joints.q.tolist() if "q" in joints.__dict__ else joints._q
+        if "q" not in joints.__dict__:
+            return joints._q
+        joints = joints.q
     return _vec(joints, 7, "joints")
 
 

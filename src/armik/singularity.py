@@ -12,7 +12,7 @@ import math
 
 from .robot import _check_params, _check_tolerance, _joint_floats, forward_kinematics
 from . import _kernels_impl as _K
-from ._kernels_impl import HIT_TOL, HIT_TOL_M, SC_LEN_TOL
+from ._kernels_impl import HIT_TOL, HIT_TOL_M, TOL_LEN
 
 
 def _dist_to(v, targets):
@@ -68,7 +68,7 @@ def classify(joints, params, hit_tol=HIT_TOL, hit_tol_m=HIT_TOL_M,
     R, p, S, _, _ = _K.fk_chain(params._links, qu)
     sc = np.array(p) - np.array(S)
     nsc = np.linalg.norm(sc)
-    if nsc < SC_LEN_TOL:
+    if nsc < TOL_LEN:
         d_ref = 0.0
     else:
         cosang = abs(float(sc @ np.array(R).reshape(3, 3)[:, 2])) / nsc

@@ -353,6 +353,58 @@ def test_arm_angle_invariant_over_self_motion(params):
                 assert abs(_wrap(arm_angle(params, br.joints.q) - psi)) < 1e-8
 
 
+def _nearest(joints, x):
+    # the row of joints closest to x, by the largest wrapped joint difference
+    if not len(joints):
+        return None, math.inf
+    d = np.abs((joints - x + math.pi) % (2 * math.pi) - math.pi).max(axis=1)
+    i = int(d.argmin())
+    return joints[i], float(d[i])
+
+
+def _tracks(solve_at, x, a, b, levels=30):
+    # follow the branch x from psi a up to psi b: take the step to b, and
+    # halve it (at most levels times below the full step) until the next
+    # psi has a branch within 0.02 rad; each success doubles it again
+    level = 0
+    while a < b:
+        nxt = min(a + (b - a) / 2 ** level, b)
+        y, d = _nearest(solve_at(nxt), x)
+        if d < 0.02:
+            x, a, level = y, nxt, max(level - 1, 0)
+        elif level == levels:
+            return False
+        else:
+            level += 1
+    return True
+
+
+def test_far_pose_branches_are_curves_in_psi(params):
+    # every branch at one psi continues to the next psi of a 360-step sweep
+    # around the circle: a branch there within 0.2 rad, or one the bisection
+    # walk reaches within 0.02 rad per step; branch counts change only in
+    # pairs (two branches fold together at a double root of the quartic)
+    rng = np.random.default_rng(0)
+    psis = -math.pi + 1e-3 + 2 * math.pi / 360 * np.arange(361)
+    bisected = 0
+    for _ in range(3):
+        pose = forward_kinematics(params, sample_far_joints(rng, params))
+
+        def solve_at(psi):
+            return solve(IkRequest(pose=pose, psi=psi, params=params)).joints_array()
+
+        sweep = [solve_at(float(psi)) for psi in psis]
+        for k in range(360):
+            assert (len(sweep[k + 1]) - len(sweep[k])) % 2 == 0
+            for x in sweep[k]:
+                if _nearest(sweep[k + 1], x)[1] < 0.2:
+                    continue
+                bisected += 1
+                assert _tracks(solve_at, x, float(psis[k]), float(psis[k + 1]))
+    # the walk is exercised: some steps move a branch by more than 0.2 rad
+    assert bisected > 0
+
+
 GEOM = (0.36, 0.42, 0.4, 0.0905)
 Q_SCALED = [0.4, -1.2, 0.5, 1.1, -0.3, 0.9, 0.2]
 

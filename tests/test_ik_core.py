@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 import warnings
 
 import numpy as np
@@ -156,13 +157,18 @@ def test_near_axis_parallel_gives_coded_rejections(params):
 
 
 def test_ik_request_wraps_psi(params):
-    pose = forward_kinematics(params, np.zeros(7))
+    # the request keeps psi as given; solve wraps it
+    pose = special_pose(params, 0.5, -0.7, 0.3)
     req = IkRequest(pose=pose, psi=7.0, params=params)
-    assert abs(req.psi - (7.0 - 2 * math.pi)) < 1e-15
-    with pytest.raises(InvalidInput):
-        IkRequest(pose=pose, psi=math.nan, params=params)
-    with pytest.raises(InvalidInput):
-        IkRequest(pose=np.eye(4), psi=0.0, params=params)
+    assert req.psi == 7.0
+    got = solve(req)
+    want = solve(IkRequest(pose=pose, psi=7.0 - 2 * math.pi, params=params))
+    assert got.branches and got == want
+    assert got.joints_array().tobytes() == want.joints_array().tobytes()
+    with pytest.raises(InvalidInput, match="psi must be finite"):
+        solve(IkRequest(pose=pose, psi=math.nan, params=params))
+    with pytest.raises(InvalidInput, match="pose must be a Transform"):
+        solve(IkRequest(pose=np.eye(4), psi=0.0, params=params))
 
 
 @pytest.mark.parametrize(
@@ -170,8 +176,10 @@ def test_ik_request_wraps_psi(params):
 )
 def test_ik_request_rejects_non_numeric_psi(params, psi):
     pose = forward_kinematics(params, np.zeros(7))
-    with pytest.raises(InvalidInput):
-        IkRequest(pose=pose, psi=psi, params=params)
+    req = IkRequest(pose=pose, psi=psi, params=params)
+    assert req.psi is psi
+    with pytest.raises(InvalidInput, match="psi must be a number"):
+        solve(req)
 
 
 @pytest.mark.parametrize(
@@ -344,6 +352,24 @@ def test_shoulder_consistency_site_is_reached_through_solve(params):
                                     (12, 15, "arm_equation_mismatch")]
     assert len(res.branches) + len(res.rejected) == 16
     assert all(b.pose_error < 1e-8 for b in res.branches)
+
+
+def test_unsquared_residual_site_is_reached_through_solve(params):
+    # at link scale 1e4 the unsquared constraint of root slot 0 fails its
+    # relative residual test on this configuration, solved at its own arm angle
+    P = RobotParams(*(1e4 * v for v in (params.d_bs, params.d_se, params.d_ew, params.a_wr)))
+    rnd = random.Random(3)
+    q = [rnd.uniform(-3, 3) for _ in range(7)]
+    pose = forward_kinematics(P, q)
+    res = solve(IkRequest(pose=pose, psi=arm_angle(P, q), params=P))
+    unsquared = sorted(r.leaf for r in res.rejected if r.reason == "unsquared_residual")
+    assert unsquared == [0, 1, 2, 3]
+    assert len(res.branches) == 8 and len(res.branches) + len(res.rejected) == 16
+    links = P.d_bs + P.d_se + P.d_ew + P.a_wr
+    for br in res.branches:
+        chk = fk_oracle(P, br.joints)
+        assert_allclose(chk.rotation, pose.rotation, rtol=0, atol=1e-8)
+        assert_allclose(chk.translation, pose.translation, rtol=0, atol=1e-8 * links)
 
 
 def _rejection_runs(res):

@@ -16,6 +16,7 @@ from armik import (
     RobotParams,
     Transform,
     arm_angle,
+    classify,
     default_params,
     forward_kinematics,
     frame_points,
@@ -272,6 +273,52 @@ def test_joint_config_equality_compares_the_joints():
     other = JointConfig([0.0] * 7)
     other.q[3] = 0.5
     assert zero != other and other == JointConfig([0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda jc: jc.q.__setitem__(0, math.nan),
+        lambda jc: jc.q.__setitem__(6, math.inf),
+        lambda jc: setattr(jc, "q", "abc"),
+        lambda jc: setattr(jc, "q", np.zeros(3)),
+    ],
+    ids=["nan_entry", "inf_entry", "text", "three_entries"],
+)
+def test_edited_joint_config_is_checked_when_read(params, edit):
+    # q is writeable once read, so every reader checks it as it reads it
+    jc = JointConfig([0.4, -1.2, 0.5, 1.1, -0.3, 0.9, 0.2])
+    edit(jc)
+    for read in (
+        lambda: forward_kinematics(params, jc),
+        lambda: frame_points(params, jc),
+        lambda: arm_angle(params, jc),
+        lambda: classify(jc, params),
+        jc.wrapped,
+    ):
+        with pytest.raises(InvalidInput, match="joints"):
+            read()
+    assert jc != JointConfig([0.0] * 7) and not jc == jc
+
+
+def test_params_and_frame_points_compare_and_hash(params):
+    copy = dataclasses.replace(params)
+    assert copy == params and hash(copy) == hash(params) and len({copy, params}) == 1
+    assert copy != dataclasses.replace(params, d_bs=params.d_bs + 1e-3, mdh=None)
+    assert params != params.to_dict()
+    # a custom theta offset makes a different table with the same lengths
+    mdh = params.mdh.copy()
+    mdh[0, 3] = 0.1
+    shifted = RobotParams(params.d_bs, params.d_se, params.d_ew, params.a_wr, mdh)
+    assert shifted != params and shifted == dataclasses.replace(shifted)
+    q = [0.4, -1.2, 0.5, 1.1, -0.3, 0.9, 0.2]
+    pts = frame_points(params, q)
+    assert pts == frame_points(params, q) and not pts != frame_points(params, q)
+    assert pts != frame_points(shifted, q)
+    assert pts != (pts.shoulder, pts.elbow, pts.wrist, pts.axis7)
+    edited = frame_points(params, q)
+    edited.elbow = "abc"
+    assert pts != edited and edited == edited
 
 
 def test_params_validation():

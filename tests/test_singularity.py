@@ -8,6 +8,8 @@ from armik import (
     AxisParallel,
     IkRequest,
     InvalidInput,
+    Transform,
+    ZeroSC,
     arm_angle,
     classify,
     default_params,
@@ -17,8 +19,9 @@ from armik import (
     solve,
 )
 from armik import _kernels_impl as K
-from armik._kernels_impl import HIT_TOL, SC_LEN_TOL
+from armik._kernels_impl import HIT_TOL, TOL_LEN
 from armik.singularity import family_distance, numeric_jacobian
+from armik.verify import numeric_ik
 from conftest import family_sample, sample_far_joints
 
 # z7 aligned with the shoulder-center line: q5 at -pi/2 turns the wrist
@@ -173,6 +176,27 @@ def test_reference_parallel_correspondence(params):
         reduce_pose(params, pose)
 
 
+def test_zero_sc_correspondence(params):
+    # C placed 5e-10 m from the shoulder, within the solver's TOL_LEN: the
+    # pose reduction raises ZeroSC, so classify must count the reference
+    # direction as parallel (a hit at distance 0)
+    rng = np.random.default_rng(0)
+    for _ in range(4):
+        u = rng.standard_normal(3)
+        rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        rot[:, 0] *= np.sign(np.linalg.det(rot))
+        pose = Transform(rot, [0.0, 0.0, params.d_bs] + 5e-10 * u / np.linalg.norm(u))
+        q = numeric_ik(params, pose, rng.uniform(-2.0, 2.0, 7), tol=1e-13).joints
+        pts = frame_points(params, q)
+        assert 1e-12 < np.linalg.norm(pts.axis7 - pts.shoulder) < TOL_LEN
+        with pytest.raises(ZeroSC):
+            reduce_pose(params, forward_kinematics(params, q))
+        with pytest.raises(ZeroSC):
+            arm_angle(params, q)
+        rep = classify(q, params)
+        assert ("reference_parallel", 0.0) in rep.algorithmic_hits
+
+
 def test_q6_offset_correspondence(params):
     # at the wrist-offset angle the q8 recovery divides by t6 = 0: the
     # solver must reject those leaves with the dedicated reason while the
@@ -208,7 +232,7 @@ def _reference_parallel_reference(params, q):
     pose = forward_kinematics(params, q)
     sc = pts.axis7 - pts.shoulder
     nsc = np.linalg.norm(sc)
-    if nsc < SC_LEN_TOL:
+    if nsc < TOL_LEN:
         return 0.0
     return math.acos(min(1.0, abs(float(sc @ pose.rotation[:, 2])) / nsc))
 

@@ -36,7 +36,6 @@ TABLE = {
     "QUAT_NORM_TOL": 1e-9,
     "HIT_TOL": 1e-6,
     "HIT_TOL_M": 1e-9,
-    "SC_LEN_TOL": 1e-12,
 }
 
 # modules on the solve and `armik ik` paths
